@@ -44,12 +44,14 @@ pub struct LearnInput {
     pub csv: Vec<u8>,
     /// Data rows in `csv`.
     pub rows: usize,
+    /// Rows asked of the simulator.
+    length: usize,
 }
 
 impl LearnInput {
-    /// Generates `rows` rows of `system` from `seed`.
-    pub fn generate(system: System, rows: usize, seed: u64) -> LearnInput {
-        let csv = csv_of(system, rows, seed);
+    /// Generates `length` rows of `system` from `seed`.
+    pub fn generate(system: System, length: usize, seed: u64) -> LearnInput {
+        let csv = csv_of(system, length, seed);
         let rows = csv
             .iter()
             .filter(|&&b| b == b'\n')
@@ -60,7 +62,16 @@ impl LearnInput {
             seed,
             csv,
             rows,
+            length,
         }
+    }
+
+    /// Writes the same trace again into the existing buffer.
+    fn regenerate(&mut self) {
+        self.csv.clear();
+        self.system
+            .write_csv(self.length, self.seed, &mut self.csv)
+            .expect("writing to memory cannot fail");
     }
 
     /// Learns the model end to end, timing CSV bytes → model.
@@ -109,17 +120,19 @@ fn generate(args: &Args, seeds: &[u64]) -> Vec<InputSet> {
 }
 
 /// The input sets of a learning run and its set-up time: the median over
-/// [`GENERATIONS`] generations of all of them.
+/// [`GENERATIONS`] regenerations of all of them into the buffers of a
+/// first, untimed generation. Page faults on fresh buffers cost what the
+/// host's load makes them cost, and would make the figure bimodal.
 pub fn input_sets(args: &Args) -> (Vec<InputSet>, f64) {
     let seeds = match args.workload {
         Workload::LearnPaper => pool_seeds(args.seed, PAPER_POOL, PAPER_SEEDS),
         _ => pool_seeds(args.seed, LONG_POOL, 1),
     };
+    let mut sets = generate(args, &seeds);
     let mut times = Vec::with_capacity(GENERATIONS);
-    let mut sets = Vec::new();
     for _ in 0..GENERATIONS {
         let start = Instant::now();
-        sets = generate(args, &seeds);
+        sets.iter_mut().flatten().for_each(LearnInput::regenerate);
         times.push(start.elapsed().as_secs_f64());
     }
     (sets, median(&mut times))

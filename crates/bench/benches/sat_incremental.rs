@@ -1,17 +1,12 @@
-//! From-scratch vs incremental vs batched SAT refinement (the learner's
-//! Phase-3 loop).
+//! From-scratch vs incremental SAT refinement (the learner's Phase-3 loop).
 //!
-//! All variants run the full compliance-refinement search for the smallest
+//! Both variants run the full compliance-refinement search for the smallest
 //! automaton on a workload's unique windows. The from-scratch variant
 //! rebuilds the CNF and a brand-new solver for every refinement round (the
-//! seed behaviour); the incremental variant builds one base encoding and one
-//! solver per candidate state count and feeds it only the delta clauses of
-//! newly forbidden sequences, reusing learnt clauses across rounds; the
-//! batched variant keeps ONE solver alive across state counts, loading each
-//! count's clauses hard over a fresh variable block and hard-deleting the
-//! whole block from the clause arena when the count is refuted
-//! (`SolverStrategy::BatchedAssumptions` at the learner layer,
-//! `Solver::remove_vars_from` at the SAT layer). With `--json <path>` or
+//! seed behaviour); the incremental variant, the learner's search, builds
+//! one base encoding and one solver per candidate state count and feeds it
+//! only the delta clauses of newly forbidden sequences, reusing learnt
+//! clauses across rounds. With `--json <path>` or
 //! `TRACELEARN_BENCH_JSON=<path>` the measured wall times are written as
 //! machine-readable JSON.
 
@@ -21,7 +16,7 @@ use tracelearn_bench::report::{write_if_requested, BenchRecord};
 use tracelearn_core::compliance::invalid_sequences;
 use tracelearn_core::encoding::AutomatonEncoder;
 use tracelearn_core::{PredId, PredicateExtractor};
-use tracelearn_sat::{Lit, Model, SatResult, Solver, Var};
+use tracelearn_sat::{SatResult, Solver};
 use tracelearn_synth::SynthesisConfig;
 use tracelearn_trace::unique_windows;
 use tracelearn_workloads::Workload;
@@ -106,74 +101,11 @@ fn refine_incremental(input: &Prepared) -> usize {
     panic!("no automaton within the state bound");
 }
 
-/// The cross-state-count batched loop: one solver for the entire search,
-/// each count's clauses loaded hard over a fresh variable block and the
-/// whole block hard-deleted from the clause arena when the count is refuted
-/// (`Solver::remove_vars_from`).
-fn refine_batched(input: &Prepared) -> usize {
-    let mut encoder = AutomatonEncoder::new(input.windows.clone(), 2);
-    let mut solver = Solver::new(0);
-    for num_states in 2..=MAX_STATES {
-        encoder.set_num_states(num_states);
-        let encoding = encoder.encode_base();
-        let base = solver.num_vars();
-        for _ in 0..encoding.cnf.num_vars() {
-            solver.new_var();
-        }
-        let offset = |lit: Lit| {
-            let var = Var::new(u32::try_from(lit.var().index() + base).expect("var fits in u32"));
-            if lit.is_positive() {
-                Lit::positive(var)
-            } else {
-                Lit::negative(var)
-            }
-        };
-        for clause in encoding.cnf.clauses() {
-            solver.add_clause(clause.iter().map(|&lit| offset(lit)));
-        }
-        loop {
-            match solver.solve() {
-                SatResult::Unsat => break,
-                SatResult::Unknown => unreachable!("no limits were set"),
-                SatResult::Sat(model) => {
-                    let local = Model::new(
-                        (0..encoding.cnf.num_vars())
-                            .map(|v| {
-                                model.value(Var::new(
-                                    u32::try_from(base + v).expect("var fits in u32"),
-                                ))
-                            })
-                            .collect(),
-                    );
-                    let candidate = encoding.decode(encoder.windows(), &local);
-                    let violations =
-                        invalid_sequences(&candidate, &input.sequence, COMPLIANCE_LENGTH);
-                    if violations.is_empty() {
-                        return num_states;
-                    }
-                    for violation in violations {
-                        encoder.forbid_sequence(violation);
-                    }
-                    for clause in encoder.delta_clauses(&encoding) {
-                        solver.add_clause(clause.into_iter().map(offset));
-                    }
-                }
-            }
-        }
-        // Retire the refuted count: hard-delete its whole variable block —
-        // original clauses, learnt clauses and top-level facts — and clear
-        // the refutation it caused (mirrors the learner's batched strategy).
-        solver.remove_vars_from(Var::new(u32::try_from(base).expect("var fits in u32")));
-    }
-    panic!("no automaton within the state bound");
-}
-
 type Refiner = fn(&Prepared) -> usize;
 
-const STRATEGIES: [(&str, Refiner); 3] = [
+const STRATEGIES: [(&str, Refiner); 2] = [
     ("from_scratch", refine_from_scratch),
     ("incremental", refine_incremental),
-    ("batched_assumptions", refine_batched),
 ];
 
 fn bench_refinement(c: &mut Criterion) {
@@ -188,9 +120,8 @@ fn bench_refinement(c: &mut Criterion) {
                 b.iter(|| refine(std::hint::black_box(input)))
             });
         }
-        // All strategies must agree on the minimal state count.
+        // Both strategies must agree on the minimal state count.
         assert_eq!(refine_from_scratch(input), refine_incremental(input));
-        assert_eq!(refine_incremental(input), refine_batched(input));
     }
     group.finish();
 

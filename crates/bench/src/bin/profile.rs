@@ -2,18 +2,17 @@
 //! ablation/diagnostic aid (not a paper artefact).
 //!
 //! ```text
-//! profile <workload> <length> [--threads N] [--shards S] [--sat-stats]
+//! profile <workload> <length> [--shards S] [--sat-stats]
 //! ```
 //!
 //! Prints a per-phase wall-time breakdown (ingest / abstract / segment /
 //! SAT) for the streamed and in-memory pipelines — so the next perf target
 //! can be picked from data, not anecdote — plus the k-tails baseline for
-//! context. `--threads N` sets the learner's worker-thread count (0 = the
-//! machine's available parallelism); `--shards S` splits the workload into
-//! `S` independently seeded runs learned as one `TraceSet` through the
-//! parallel shard-extraction path; `--sat-stats` adds the solver-quality
-//! counters (learnt-clause LBD histogram and conflict-clause-minimization
-//! totals) to each phase breakdown.
+//! context. `--shards S` splits the workload into `S` independently seeded
+//! runs learned as one `TraceSet` through `Learner::learn_many`;
+//! `--sat-stats` adds the solver-quality counters (learnt-clause LBD
+//! histogram and conflict-clause-minimization totals) to each phase
+//! breakdown.
 
 use std::env;
 use std::time::Instant;
@@ -24,7 +23,7 @@ use tracelearn_workloads::Workload;
 
 /// Prints the solver-quality counters: the learnt-clause LBD ("glue")
 /// histogram and the literals removed by conflict-clause minimization,
-/// aggregated over the adopted search path's solvers.
+/// aggregated over the search's solvers.
 fn print_sat_stats(stats: &LearnStats) {
     let total: u64 = stats.lbd_histogram.iter().sum();
     println!("  sat quality:     {total} learnt clauses analysed");
@@ -64,35 +63,23 @@ fn print_phases(label: &str, stats: &LearnStats) {
         stats.segmentation_time, stats.solver_windows
     );
     println!(
-        "  sat:             {:>10.2?}  ({} queries, {} solvers, {} refinements, {} speculative, {} cancelled)",
-        stats.solver_time,
-        stats.sat_queries,
-        stats.solvers_constructed,
-        stats.refinements,
-        stats.speculative_solves,
-        stats.cancelled_solves
+        "  sat:             {:>10.2?}  ({} queries, {} solvers, {} refinements)",
+        stats.solver_time, stats.sat_queries, stats.solvers_constructed, stats.refinements
     );
     println!(
-        "  total:           {:>10.2?}  ({} states, {} threads)",
-        stats.total_time, stats.states, stats.threads_used
+        "  total:           {:>10.2?}  ({} states)",
+        stats.total_time, stats.states
     );
 }
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
-    let mut threads = 0usize;
     let mut shards = 1usize;
     let mut sat_stats = false;
     let mut arguments = env::args().skip(1);
     while let Some(argument) = arguments.next() {
         match argument.as_str() {
             "--sat-stats" => sat_stats = true,
-            "--threads" => {
-                threads = arguments
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a number");
-            }
             "--shards" => {
                 shards = arguments
                     .next()
@@ -119,13 +106,9 @@ fn main() {
         "rtlinux" => Workload::LinuxKernel,
         _ => Workload::Integrator,
     };
-    let config = learner_config_for(workload).with_num_threads(threads);
+    let config = learner_config_for(workload);
     let learner = Learner::new(config.clone());
-    println!(
-        "== {} · {length} observations · {} worker thread(s) ==",
-        workload.name(),
-        learner.effective_threads()
-    );
+    println!("== {} · {length} observations ==", workload.name());
 
     let start = Instant::now();
     let trace = workload.generate(length);

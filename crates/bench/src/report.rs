@@ -10,12 +10,12 @@
 //!
 //! ```json
 //! {
-//!   "bench": "parallel_learning",
+//!   "bench": "sat_incremental",
 //!   "unix_time": 1753660800,
 //!   "host_parallelism": 4,
 //!   "results": [
-//!     {"name": "learn_many/threads=4", "wall_ns": 123456789,
-//!      "shards": 6, "speedup_vs_1_thread": 2.31}
+//!     {"name": "incremental/rtlinux", "wall_ns": 6740088,
+//!      "states": 5, "windows": 30}
 //!   ]
 //! }
 //! ```
@@ -30,7 +30,7 @@ use std::time::Duration;
 /// One benchmark measurement plus free-form context fields.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Name of the measurement within the bench (e.g. `learn_many/threads=4`).
+    /// Name of the measurement within the bench (e.g. `incremental/rtlinux`).
     pub name: String,
     /// Wall-clock of the measured run, in nanoseconds.
     pub wall_ns: u128,

@@ -130,13 +130,6 @@ impl AutomatonEncoder {
         self.forbidden.len()
     }
 
-    /// The forbidden sequences registered so far, in registration order. The
-    /// portfolio search reads the suffix discovered by one state count's
-    /// refinement to carry it into the next count's entry set.
-    pub fn forbidden_sequences(&self) -> &[Vec<PredId>] {
-        &self.forbidden
-    }
-
     /// A cheap upper bound on the number of clauses the encoding will
     /// produce, used to enforce the learner's size budget before building
     /// the formula.
@@ -291,8 +284,7 @@ impl AutomatonEncoder {
     /// `seen[t][s] → seen[t][s−1]` are implied and deliberately *not*
     /// emitted: measured on usb_attach they steer the search into ~35 %
     /// more conflicts.) Everything here is phrased over the base variables,
-    /// so the delta protocol and the batched search's per-count blocks are
-    /// unaffected.
+    /// so the delta protocol is unaffected.
     fn emit_symmetry_breaking(&self, cnf: &mut Cnf, slot_vars: &[Vec<Vec<Var>>]) {
         let n = self.num_states;
         // The lowest-index state is the initial state.

@@ -61,9 +61,7 @@ mod learner;
 
 pub use crate::compliance::ComplianceChecker;
 pub use crate::error::LearnError;
-pub use crate::learner::{
-    learn_with_defaults, LearnStats, LearnedModel, Learner, LearnerConfig, SolverStrategy,
-};
+pub use crate::learner::{learn_with_defaults, LearnStats, LearnedModel, Learner, LearnerConfig};
 pub use crate::monitor::{
     Deviation, DeviationKind, Monitor, MonitorReport, MonitorSession, SessionCheckpoint,
     SessionFootprint, Verdict, DEFAULT_CALIBRATION_EVENTS,

@@ -330,8 +330,8 @@ impl WindowAbstractor {
 
     /// Computes the predicate describing one observation window without
     /// touching the memo cache or any alphabet — the read-only entry point
-    /// shared by the parallel extraction workers, which keep their own local
-    /// caches and defer interning to the deterministic merge step.
+    /// for callers whose windows are already distinct, such as the streamed
+    /// learner, which interns each distinct window's predicate itself.
     ///
     /// # Panics
     ///

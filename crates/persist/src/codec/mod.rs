@@ -4,4 +4,3 @@ pub(crate) mod common;
 pub mod model;
 pub mod registry;
 pub mod stream;
-pub mod warmstart;

@@ -18,9 +18,7 @@ use crate::wire::{Reader, Writer};
 use std::path::Path;
 use std::time::Duration;
 use tracelearn_automaton::{Nfa, StateId};
-use tracelearn_core::{
-    LearnStats, LearnedModel, LearnerConfig, PredId, PredicateAlphabet, SolverStrategy,
-};
+use tracelearn_core::{LearnStats, LearnedModel, LearnerConfig, PredId, PredicateAlphabet};
 use tracelearn_synth::{GrammarRestriction, SynthesisConfig};
 
 /// A learned model bundled with the learner configuration it belongs to.
@@ -137,11 +135,11 @@ pub(crate) fn encode_config(w: &mut Writer, c: &LearnerConfig) {
         w.string(name);
     }
     encode_usize(w, c.stream_chunk);
-    encode_usize(w, c.num_threads);
-    w.u8(match c.solver_strategy {
-        SolverStrategy::PerCount => 0,
-        SolverStrategy::BatchedAssumptions => 1,
-    });
+    // Retired fields of the v1 layout, written as fixed placeholders: the
+    // worker-thread count (1) and the solver-strategy byte (0, one solver
+    // per state count).
+    encode_usize(w, 1);
+    w.u8(0);
     encode_usize(w, c.calibration_sample);
 }
 
@@ -166,12 +164,14 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<LearnerConfig, Persist
         input_variables.push(r.string()?);
     }
     let stream_chunk = decode_usize(r)?;
-    let num_threads = decode_usize(r)?;
-    let solver_strategy = match r.u8()? {
-        0 => SolverStrategy::PerCount,
-        1 => SolverStrategy::BatchedAssumptions,
+    // The retired thread count and strategy byte: read and dropped. Every
+    // value an earlier build could write still loads; any other strategy
+    // byte is damage.
+    decode_usize(r)?;
+    match r.u8()? {
+        0 | 1 => {}
         other => return Err(malformed(format!("unknown solver strategy {other}"))),
-    };
+    }
     let calibration_sample = decode_usize(r)?;
     Ok(LearnerConfig {
         window,
@@ -186,8 +186,6 @@ pub(crate) fn decode_config(r: &mut Reader<'_>) -> Result<LearnerConfig, Persist
         synthesis,
         input_variables,
         stream_chunk,
-        num_threads,
-        solver_strategy,
         calibration_sample,
     })
 }
@@ -316,7 +314,8 @@ fn encode_stats(w: &mut Writer, s: &LearnStats) {
     }
     encode_usize(w, s.refinements);
     encode_usize(w, s.states);
-    encode_usize(w, s.threads_used);
+    // Retired v1 field: the worker-thread count, written as 1.
+    encode_usize(w, 1);
     encode_usize(w, s.speculative_solves);
     encode_usize(w, s.cancelled_solves);
     encode_duration(w, s.ingest_time);
@@ -359,7 +358,7 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<LearnStats, PersistError> {
     }
     s.refinements = decode_usize(r)?;
     s.states = decode_usize(r)?;
-    s.threads_used = decode_usize(r)?;
+    decode_usize(r)?; // retired thread count
     s.speculative_solves = decode_usize(r)?;
     s.cancelled_solves = decode_usize(r)?;
     s.ingest_time = decode_duration(r)?;
@@ -476,6 +475,47 @@ mod tests {
         assert_eq!(restored.config, snapshot.config);
         // And re-encoding is byte-stable.
         assert_eq!(encode_model(&restored), bytes);
+    }
+
+    /// A snapshot an earlier build wrote for a counter model learned with
+    /// eight worker threads and the since-removed batched solver strategy,
+    /// so its retired fields hold a thread count of 8, strategy byte 1 and
+    /// a threads-used count of 8.
+    const EARLIER_SNAPSHOT: &[u8] =
+        include_bytes!("../../tests/data/model-v1-threads8-strategy1.snap");
+
+    #[test]
+    fn snapshots_with_retired_fields_load_and_reencode_with_placeholders() {
+        let restored = decode_model(EARLIER_SNAPSHOT).unwrap();
+        // The retired fields are dropped; the rest is the default config.
+        assert_eq!(restored.config, LearnerConfig::default());
+        // It is the model this build learns from the same trace.
+        let trace = counter::generate(&counter::CounterConfig {
+            threshold: 8,
+            length: 80,
+        });
+        let fresh = Learner::new(LearnerConfig::default())
+            .learn(&trace)
+            .unwrap();
+        assert_eq!(restored.model.automaton(), fresh.automaton());
+        assert_eq!(restored.model.alphabet(), fresh.alphabet());
+        assert_eq!(
+            restored.model.predicate_sequences(),
+            fresh.predicate_sequences()
+        );
+        // Re-encoding changes exactly the three retired fields, each in its
+        // low byte: thread count 8 → 1, strategy 1 → 0, threads used 8 → 1.
+        let reencoded = encode_model(&restored);
+        let old = envelope::decode(EARLIER_SNAPSHOT, SnapshotKind::Model).unwrap();
+        let new = envelope::decode(&reencoded, SnapshotKind::Model).unwrap();
+        assert_eq!(old.len(), new.len());
+        let changed: Vec<(u8, u8)> = old
+            .iter()
+            .zip(new)
+            .filter(|(a, b)| a != b)
+            .map(|(&a, &b)| (a, b))
+            .collect();
+        assert_eq!(changed, vec![(8, 1), (1, 0), (8, 1)]);
     }
 
     #[test]

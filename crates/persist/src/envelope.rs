@@ -39,8 +39,6 @@ pub const TRAILER_LEN: usize = 8;
 pub enum SnapshotKind {
     /// A learned model plus the learner configuration it was learned with.
     Model,
-    /// Learner warm-start state: window collector + forbidden sequences.
-    WarmStart,
     /// One serving stream's replay log and monitor-session checkpoint.
     Stream,
     /// The serving registry manifest: model names, specs and versions.
@@ -52,7 +50,8 @@ impl SnapshotKind {
     pub fn code(self) -> u16 {
         match self {
             SnapshotKind::Model => 1,
-            SnapshotKind::WarmStart => 2,
+            // Code 2 belonged to the retired warm-start snapshot and is
+            // never reused: such a file fails as a `WrongKind`.
             SnapshotKind::Stream => 3,
             SnapshotKind::Registry => 4,
         }
@@ -270,13 +269,13 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_rejected() {
-        let bytes = encode(SnapshotKind::WarmStart, b"payload");
+        let bytes = encode(SnapshotKind::Registry, b"payload");
         for byte in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.clone();
                 flipped[byte] ^= 1 << bit;
                 assert!(
-                    decode(&flipped, SnapshotKind::WarmStart).is_err(),
+                    decode(&flipped, SnapshotKind::Registry).is_err(),
                     "flip at byte {byte} bit {bit} was accepted"
                 );
             }
@@ -319,6 +318,27 @@ mod tests {
                 version: 9
             })
         ));
+    }
+
+    #[test]
+    fn retired_kind_code_is_a_wrong_kind_error() {
+        // Kind 2 (the retired warm-start snapshot) with a valid checksum:
+        // every reader rejects it by kind.
+        let mut bytes = encode(SnapshotKind::Model, b"payload");
+        bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+        let total = bytes.len();
+        let crc = crc64(&bytes[..total - TRAILER_LEN]).to_le_bytes();
+        bytes[total - TRAILER_LEN..].copy_from_slice(&crc);
+        for kind in [
+            SnapshotKind::Model,
+            SnapshotKind::Stream,
+            SnapshotKind::Registry,
+        ] {
+            assert!(matches!(
+                decode(&bytes, kind),
+                Err(PersistError::WrongKind { found: 2, .. })
+            ));
+        }
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! * **Model snapshots** ([`ModelSnapshot`]) — a learned automaton with its
 //!   alphabet, signature, symbols, statistics and the learner configuration
 //!   it belongs to; self-contained enough to reconstruct a monitor.
-//! * **Warm-start snapshots** ([`WarmStartSnapshot`]) — the learner's
-//!   resumable stream digest: unique solver windows plus the forbidden
-//!   sequence set.
 //! * **Stream snapshots** ([`StreamSnapshot`]) — one serving stream's replay
 //!   log and monitor-session checkpoint, the unit of `served` crash
 //!   recovery.
@@ -44,8 +41,5 @@ pub use codec::registry::{
     decode_registry, encode_registry, load_registry, save_registry, RegistryEntry, RegistryManifest,
 };
 pub use codec::stream::{decode_stream, encode_stream, load_stream, save_stream, StreamSnapshot};
-pub use codec::warmstart::{
-    decode_warm_start, encode_warm_start, load_warm_start, save_warm_start, WarmStartSnapshot,
-};
 pub use envelope::{crc64, read_file, write_atomic, SnapshotKind, HEADER_LEN, MAGIC, TRAILER_LEN};
 pub use error::PersistError;

@@ -14,15 +14,13 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use tracelearn_core::{Learner, LearnerConfig, PredId, PredicateAlphabet, SessionCheckpoint};
-use tracelearn_expr::{IntTerm, Predicate};
+use tracelearn_core::{Learner, LearnerConfig, SessionCheckpoint};
 use tracelearn_persist::{
-    decode_model, decode_registry, decode_stream, decode_warm_start, encode_model, encode_registry,
-    encode_stream, encode_warm_start, load_model, load_stream, save_stream, write_atomic,
-    ModelSnapshot, PersistError, RegistryEntry, RegistryManifest, StreamSnapshot,
-    WarmStartSnapshot,
+    decode_model, decode_registry, decode_stream, encode_model, encode_registry, encode_stream,
+    load_model, load_stream, save_stream, write_atomic, ModelSnapshot, PersistError, RegistryEntry,
+    RegistryManifest, StreamSnapshot,
 };
-use tracelearn_trace::{Signature, SymbolTable, Valuation, Value, WindowCollector};
+use tracelearn_trace::{Valuation, Value};
 use tracelearn_workloads::counter::{self, CounterConfig};
 
 // ---- sample builders ----------------------------------------------------
@@ -96,30 +94,6 @@ fn sample_registry() -> RegistryManifest {
                 version: 4,
             },
         ],
-    }
-}
-
-fn sample_warm_start() -> WarmStartSnapshot {
-    let signature = Signature::builder().int("x").event("op").build();
-    let mut symbols = SymbolTable::new();
-    symbols.intern("read");
-    symbols.intern("write");
-    let mut alphabet = PredicateAlphabet::new();
-    let preds: Vec<PredId> = (0..4)
-        .map(|i| alphabet.intern(Predicate::eq(IntTerm::Const(i), IntTerm::Const(i))))
-        .collect();
-    let mut collector = WindowCollector::new(3);
-    for &id in &[
-        preds[0], preds[1], preds[2], preds[0], preds[1], preds[2], preds[3],
-    ] {
-        collector.push(id);
-    }
-    WarmStartSnapshot {
-        signature,
-        symbols,
-        alphabet,
-        collector,
-        forbidden: vec![vec![preds[3], preds[0]], vec![preds[2]]],
     }
 }
 
@@ -263,52 +237,6 @@ proptest! {
         prop_assert_eq!(encode_registry(&restored), bytes);
     }
 
-    /// Warm-start snapshots round-trip for arbitrary alphabets, window
-    /// streams and forbidden sets: the restored collector is *behaviourally*
-    /// identical (same uniques, carry and totals) and re-encodes to the
-    /// same bytes.
-    #[test]
-    fn warm_start_snapshots_round_trip(
-        num_preds in 1usize..12,
-        window in 1usize..6,
-        pushes in proptest::collection::vec(0usize..12, 0..40),
-        forbidden in proptest::collection::vec(
-            proptest::collection::vec(0usize..12, 1..5), 0..5),
-    ) {
-        let signature = Signature::builder().int("x").event("op").build();
-        let mut symbols = SymbolTable::new();
-        symbols.intern("op-a");
-        let mut alphabet = PredicateAlphabet::new();
-        let preds: Vec<PredId> = (0..num_preds as i64)
-            .map(|i| alphabet.intern(Predicate::eq(IntTerm::Const(i), IntTerm::Const(i))))
-            .collect();
-        let mut collector = WindowCollector::new(window);
-        for push in pushes {
-            collector.push(preds[push % num_preds]);
-        }
-        let snapshot = WarmStartSnapshot {
-            signature,
-            symbols,
-            alphabet,
-            collector,
-            forbidden: forbidden
-                .into_iter()
-                .map(|seq| seq.into_iter().map(|i| preds[i % num_preds]).collect())
-                .collect(),
-        };
-        let bytes = encode_warm_start(&snapshot);
-        let restored = decode_warm_start(&bytes).expect("round trip");
-        prop_assert_eq!(&restored.alphabet, &snapshot.alphabet);
-        prop_assert_eq!(&restored.forbidden, &snapshot.forbidden);
-        prop_assert_eq!(restored.collector.unique(), snapshot.collector.unique());
-        prop_assert_eq!(restored.collector.carry(), snapshot.collector.carry());
-        prop_assert_eq!(
-            restored.collector.total_windows(),
-            snapshot.collector.total_windows()
-        );
-        prop_assert_eq!(encode_warm_start(&restored), bytes);
-    }
-
     /// Learned-model snapshots round-trip byte-stably. The models themselves
     /// are drawn from a small cache (learning is the expensive part); the
     /// property is that *whatever* the learner produced survives the codec
@@ -344,9 +272,6 @@ fn corpus() -> Vec<(&'static str, Vec<u8>, CorpusDecoder)> {
         }),
         ("registry", encode_registry(&sample_registry()), |b| {
             decode_registry(b).map(drop)
-        }),
-        ("warm-start", encode_warm_start(&sample_warm_start()), |b| {
-            decode_warm_start(b).map(drop)
         }),
         ("model", encode_model(learned_snapshot(8)), |b| {
             decode_model(b).map(drop)

@@ -67,15 +67,15 @@ impl<T: Clone + Eq + Hash> WindowCollector<T> {
     /// The carried tail of the current trace: the last `< w` items, which
     /// have not yet completed a window. Together with
     /// [`unique`](WindowCollector::unique) and the totals this is the
-    /// collector's complete resumable state (the warm-start snapshot codec
-    /// in `tracelearn-persist` round-trips exactly these parts).
+    /// collector's complete resumable state.
     pub fn carry(&self) -> &[T] {
         &self.carry
     }
 
-    /// Reassembles a collector from persisted parts — the decode half of the
-    /// warm-start snapshot codec. The dedup set is rebuilt from `unique`, so
-    /// the result continues exactly where the snapshotted collector stopped.
+    /// Reassembles a collector from its resumable state (see
+    /// [`carry`](WindowCollector::carry)). The dedup set is rebuilt from
+    /// `unique`, so the result continues exactly where the original
+    /// collector stopped.
     ///
     /// Returns `None` when the parts are inconsistent: `w == 0`, a unique
     /// window of the wrong length, a duplicate unique window (the set is
@@ -171,57 +171,6 @@ impl<T: Clone + Eq + Hash> WindowCollector<T> {
             self.unique.push(segment);
         }
     }
-
-    /// Merges another collector's accumulated windows into `self`,
-    /// deduplicating against the windows already seen and preserving
-    /// first-occurrence order (all of `self`'s windows, then `other`'s new
-    /// ones in `other`'s order). Totals are summed; `other`'s unfinished
-    /// carry, if any, is discarded — callers should
-    /// [`end_trace`](WindowCollector::end_trace) before merging.
-    ///
-    /// Returns the number of unique windows `other` newly contributed.
-    ///
-    /// This is the deterministic fan-in of the parallel extraction pipeline:
-    /// each worker collects one shard's windows independently, and the
-    /// shard collectors are merged in input order, which reproduces the
-    /// sequential single-collector result exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window lengths differ.
-    pub fn merge(&mut self, other: WindowCollector<T>) -> usize {
-        self.merge_mapped(other, |item| item.clone())
-    }
-
-    /// Like [`merge`](WindowCollector::merge), but translating every window
-    /// item through `f` first — used by the parallel extraction pipeline to
-    /// map shard-local predicate ids onto globally interned ones. `f` must be
-    /// injective for the deduplication to match a sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the window lengths differ.
-    pub fn merge_mapped<U, F>(&mut self, other: WindowCollector<U>, mut f: F) -> usize
-    where
-        U: Clone + Eq + Hash,
-        F: FnMut(&U) -> T,
-    {
-        assert_eq!(
-            self.w, other.w,
-            "cannot merge collectors with different window lengths"
-        );
-        let before = self.unique.len();
-        for window in other.unique {
-            let mapped: Vec<T> = window.iter().map(&mut f).collect();
-            if !self.seen.contains(&mapped) {
-                self.seen.insert(mapped.clone());
-                self.unique.push(mapped);
-            }
-        }
-        self.total_windows += other.total_windows;
-        self.total_items += other.total_items;
-        self.unique.len() - before
-    }
 }
 
 #[cfg(test)]
@@ -281,44 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_reproduces_a_sequential_collector() {
-        let shard_a = [1u8, 2, 3, 1, 2];
-        let shard_b = [2u8, 3, 4, 1, 2];
-        // Sequential reference: one collector over both shards.
-        let mut sequential = WindowCollector::new(2);
-        sequential.extend(shard_a.iter().copied());
-        sequential.end_trace();
-        sequential.extend(shard_b.iter().copied());
-        sequential.end_trace();
-        // Parallel shape: one collector per shard, merged in input order.
-        let mut merged = WindowCollector::new(2);
-        for shard in [&shard_a[..], &shard_b[..]] {
-            let mut local = WindowCollector::new(2);
-            local.extend(shard.iter().copied());
-            local.end_trace();
-            merged.merge(local);
-        }
-        assert_eq!(merged.unique(), sequential.unique());
-        assert_eq!(merged.total_windows(), sequential.total_windows());
-        assert_eq!(merged.total_items(), sequential.total_items());
-    }
-
-    #[test]
-    fn merge_reports_new_contributions_and_maps_items() {
-        let mut global = WindowCollector::new(2);
-        global.extend([10u16, 20, 30]);
-        global.end_trace();
-        // A shard collected over local ids 0..3, mapped by ×10: [10,20] is a
-        // duplicate, [20,40] is new.
-        let mut local = WindowCollector::new(2);
-        local.extend([1u8, 2, 4]);
-        local.end_trace();
-        let contributed = global.merge_mapped(local, |&id| u16::from(id) * 10);
-        assert_eq!(contributed, 1);
-        assert_eq!(global.unique(), &[vec![10, 20], vec![20, 30], vec![20, 40]]);
-    }
-
-    #[test]
     fn from_parts_resumes_where_the_snapshot_stopped() {
         let mut original = WindowCollector::new(3);
         original.extend([1u8, 2, 3, 1, 2]);
@@ -353,13 +264,6 @@ mod tests {
         assert!(
             WindowCollector::from_parts(2, vec![], vec![vec![1u8, 2], vec![1, 2]], 2, 3).is_none()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different window lengths")]
-    fn merging_mismatched_window_lengths_panics() {
-        let mut a = WindowCollector::<u8>::new(2);
-        a.merge(WindowCollector::new(3));
     }
 
     proptest! {

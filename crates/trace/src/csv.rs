@@ -93,61 +93,82 @@ pub(crate) fn push_field(out: &mut String, field: &str) {
     }
 }
 
-/// Whether `record` is a complete CSV record: no field that *opened* with a
-/// quote is still unclosed (such a field contains an embedded newline and
-/// the record continues on the next line). A quote appearing mid-way through
-/// an unquoted field is a literal character — matching [`split_record`] —
-/// and must not make following rows look like part of this record.
-pub(crate) fn record_is_complete(record: &str) -> bool {
-    enum State {
-        /// At the start of a field (possibly after skippable whitespace).
-        FieldStart,
-        /// Inside an unquoted field (quotes here are literal).
-        Unquoted,
-        /// Inside a quoted field.
-        Quoted,
-        /// Just saw a `"` inside a quoted field: either the closing quote or
-        /// the first half of an escaped `""`.
-        QuoteInQuoted,
-        /// Past a closed quoted field, waiting for the separator.
-        AfterQuote,
+/// Where the field grammar stands after the bytes scanned so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum FieldState {
+    /// At the start of a field (possibly after skippable whitespace).
+    #[default]
+    FieldStart,
+    /// Inside an unquoted field, or past a closed quoted field: quotes here
+    /// are literal, and only a separator starts the next field.
+    Unquoted,
+    /// Inside a quoted field.
+    Quoted,
+    /// Just saw a `"` inside a quoted field: either the closing quote or
+    /// the first half of an escaped `""`.
+    QuoteInQuoted,
+}
+
+/// Decides, piece by piece, whether a CSV record is complete: no field that
+/// *opened* with a quote is still unclosed (such a field contains an
+/// embedded newline and the record continues on the next line). A quote
+/// appearing mid-way through an unquoted field is a literal character —
+/// matching [`split_record`] — and must not make following rows look like
+/// part of this record.
+///
+/// The scanner keeps the field grammar's state between pieces, so a record
+/// joined from many lines is scanned once in total, not once per line.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RecordScanner {
+    state: FieldState,
+}
+
+impl RecordScanner {
+    /// Scans `bytes`, the next piece of the record, and returns whether the
+    /// record is complete after it.
+    pub(crate) fn feed(&mut self, bytes: &[u8]) -> bool {
+        use FieldState::{FieldStart, QuoteInQuoted, Quoted, Unquoted};
+        // Fast path: outside a quoted field, a quote-free piece cannot open
+        // one. When its last byte is neither a separator nor blank (a line's
+        // `\n`), that byte leaves the grammar inside an unquoted field. This
+        // skips the state machine for the overwhelmingly common
+        // all-unquoted records.
+        if matches!(self.state, FieldStart | Unquoted) && find_byte(bytes, b'"').is_none() {
+            match bytes.last() {
+                None => return true,
+                Some(b',' | b' ' | b'\t') => {}
+                Some(_) => {
+                    self.state = Unquoted;
+                    return true;
+                }
+            }
+        }
+        for &b in bytes {
+            self.state = match self.state {
+                FieldStart => match b {
+                    b' ' | b'\t' | b',' => FieldStart,
+                    b'"' => Quoted,
+                    _ => Unquoted,
+                },
+                Unquoted => match b {
+                    b',' => FieldStart,
+                    _ => Unquoted,
+                },
+                Quoted => match b {
+                    b'"' => QuoteInQuoted,
+                    _ => Quoted,
+                },
+                QuoteInQuoted => match b {
+                    b'"' => Quoted, // escaped quote, still inside
+                    b',' => FieldStart,
+                    _ => Unquoted,
+                },
+            };
+        }
+        // Only an open quoted field continues onto the next line; ending on
+        // `QuoteInQuoted` means the field's closing quote was the last byte.
+        self.state != Quoted
     }
-    // Fast path: a record without any quote cannot have an open quoted
-    // field. This skips the state machine for the overwhelmingly common
-    // all-unquoted records.
-    if find_byte(record.as_bytes(), b'"').is_none() {
-        return true;
-    }
-    let mut state = State::FieldStart;
-    for &b in record.as_bytes() {
-        state = match state {
-            State::FieldStart => match b {
-                b' ' | b'\t' | b',' => State::FieldStart,
-                b'"' => State::Quoted,
-                _ => State::Unquoted,
-            },
-            State::Unquoted => match b {
-                b',' => State::FieldStart,
-                _ => State::Unquoted,
-            },
-            State::Quoted => match b {
-                b'"' => State::QuoteInQuoted,
-                _ => State::Quoted,
-            },
-            State::QuoteInQuoted => match b {
-                b'"' => State::Quoted, // escaped quote, still inside
-                b',' => State::FieldStart,
-                _ => State::AfterQuote,
-            },
-            State::AfterQuote => match b {
-                b',' => State::FieldStart,
-                _ => State::AfterQuote,
-            },
-        };
-    }
-    // Only an open quoted field continues onto the next line; ending on
-    // `QuoteInQuoted` means the field's closing quote was the last byte.
-    !matches!(state, State::Quoted)
 }
 
 /// Splits one complete CSV record into its fields.
@@ -538,6 +559,11 @@ mod tests {
     use crate::signature::Signature;
     use proptest::prelude::*;
 
+    /// Whether `record`, scanned in one piece, is a complete CSV record.
+    fn record_is_complete(record: &str) -> bool {
+        RecordScanner::default().feed(record.as_bytes())
+    }
+
     #[test]
     fn round_trip_mixed_trace() {
         let sig = Signature::builder()
@@ -868,6 +894,29 @@ mod tests {
                 Err(TraceError::Parse { ref message, .. }) if message.contains("unterminated")
             );
             prop_assert_eq!(!record_is_complete(&record), unterminated, "record: {:?}", record);
+        }
+
+        /// Scanning a record in pieces, as the streaming reader does line by
+        /// line, reaches the same verdict as scanning it whole, wherever the
+        /// pieces are cut.
+        #[test]
+        fn piecewise_scan_matches_whole_scan(
+            parts in proptest::collection::vec(0usize..7, 0..24),
+            cuts in proptest::collection::vec(0usize..24, 0..4),
+        ) {
+            const ALPHABET: [&str; 7] = ["a", "\"", ",", " ", "\t", "b", "\n"];
+            let record: String = parts.iter().map(|&i| ALPHABET[i]).collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(record.len())).collect();
+            cuts.sort_unstable();
+            cuts.push(record.len());
+            let mut scanner = RecordScanner::default();
+            let mut from = 0;
+            let mut complete = true;
+            for cut in cuts {
+                complete = scanner.feed(&record.as_bytes()[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(complete, record_is_complete(&record), "record: {:?}", record);
         }
 
         /// Field-level escaping round-trips through the tokenizer for

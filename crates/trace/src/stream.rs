@@ -29,7 +29,7 @@
 //! # }
 //! ```
 
-use crate::csv::{parse_header, record_is_complete, split_record};
+use crate::csv::{parse_header, split_record, RecordScanner};
 use crate::error::TraceError;
 use crate::signature::{Signature, VarKind};
 use crate::symbol::SymbolTable;
@@ -215,16 +215,23 @@ impl<R: BufRead> StreamingCsvReader<R> {
     /// Reads one more input line into `self.record`, bounded so a single
     /// newline-free line can never grow the buffer past [`MAX_RECORD_BYTES`]
     /// — a stalled or malicious producer gets a parse error, not unbounded
-    /// memory. Returns the bytes read (0 at end of input).
-    fn read_line_capped(&mut self) -> Result<usize, TraceError> {
+    /// memory. `scanner` scans only the bytes this line appended. Returns
+    /// the bytes read (0 at end of input) and whether the record is complete
+    /// after them.
+    fn read_line_capped(
+        &mut self,
+        scanner: &mut RecordScanner,
+    ) -> Result<(usize, bool), TraceError> {
         // One spare byte of budget distinguishes "exactly at the cap" from
         // "past it": a read that fills the whole allowance means the line
         // kept going.
         let budget = (MAX_RECORD_BYTES + 1).saturating_sub(self.record.len());
+        let start = self.record.len();
         let mut limited = (&mut self.reader).take(budget as u64);
         let read = limited.read_line(&mut self.record)?;
+        let complete = scanner.feed(&self.record.as_bytes()[start..]);
         if self.record.len() > MAX_RECORD_BYTES {
-            let message = if record_is_complete(&self.record) {
+            let message = if complete {
                 format!("line exceeds {MAX_RECORD_BYTES} bytes")
             } else {
                 format!("record exceeds {MAX_RECORD_BYTES} bytes with an unclosed quote")
@@ -234,7 +241,7 @@ impl<R: BufRead> StreamingCsvReader<R> {
                 message,
             });
         }
-        Ok(read)
+        Ok((read, complete))
     }
 
     /// Reads the next non-blank record into `self.record`, joining lines
@@ -242,18 +249,22 @@ impl<R: BufRead> StreamingCsvReader<R> {
     fn next_record(&mut self) -> Result<bool, TraceError> {
         loop {
             self.record.clear();
-            let read = self.read_line_capped()?;
+            let mut scanner = RecordScanner::default();
+            let (read, mut complete) = self.read_line_capped(&mut scanner)?;
             if read == 0 {
                 return Ok(false);
             }
             self.line += 1;
             // A record continues onto following lines while a quoted field
-            // is still open (an embedded newline inside the field).
-            while !record_is_complete(&self.record) {
-                let more = self.read_line_capped()?;
+            // is still open (an embedded newline inside the field). The
+            // scanner carries its state across lines, so each byte is
+            // scanned once however many lines the record joins.
+            while !complete {
+                let (more, now_complete) = self.read_line_capped(&mut scanner)?;
                 if more == 0 {
                     break; // unterminated quote; the tokenizer reports it
                 }
+                complete = now_complete;
                 self.line += 1;
             }
             while self.record.ends_with('\n') || self.record.ends_with('\r') {

@@ -47,9 +47,15 @@ pub fn windows_of<T: Clone>(items: &[T], w: usize) -> Vec<Vec<T>> {
 pub fn unique_windows<T: Clone + Eq + Hash>(items: &[T], w: usize) -> Vec<Vec<T>> {
     let mut seen: HashSet<Vec<T>> = HashSet::new();
     let mut out = Vec::new();
-    for window in windows_of(items, w) {
-        if seen.insert(window.clone()) {
-            out.push(window);
+    if w == 0 {
+        return out;
+    }
+    // Copy a window only when the set lacks it: long inputs repeat a few
+    // windows millions of times.
+    for window in items.windows(w) {
+        if !seen.contains(window) {
+            seen.insert(window.to_vec());
+            out.push(window.to_vec());
         }
     }
     out
@@ -71,7 +77,17 @@ pub fn unique_windows<T: Clone + Eq + Hash>(items: &[T], w: usize) -> Vec<Vec<T>
 /// assert_eq!(subs.len(), 2);
 /// ```
 pub fn subsequences<T: Clone + Eq + Hash>(items: &[T], l: usize) -> HashSet<Vec<T>> {
-    windows_of(items, l).into_iter().collect()
+    let mut set = HashSet::new();
+    if l == 0 {
+        return set;
+    }
+    // Copy a subsequence only when the set lacks it, as in `unique_windows`.
+    for window in items.windows(l) {
+        if !set.contains(window) {
+            set.insert(window.to_vec());
+        }
+    }
+    set
 }
 
 #[cfg(test)]

@@ -68,7 +68,9 @@ pub struct ComplianceChecker {
 }
 
 impl ComplianceChecker {
-    /// Builds the checker from one predicate sequence per trace.
+    /// Builds the checker from one predicate sequence per trace. Any
+    /// sequences with the same length-`l` substrings serve as well: the
+    /// learner passes its unique solver windows when `l ≤ w`.
     pub fn new(predicate_sequences: &[Vec<PredId>], l: usize) -> Self {
         let mut allowed: HashSet<Vec<PredId>> = HashSet::new();
         for sequence in predicate_sequences {
@@ -109,7 +111,9 @@ impl ComplianceChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learner::segment;
     use crate::predicates::PredicateAlphabet;
+    use proptest::prelude::*;
     use tracelearn_automaton::StateId;
     use tracelearn_expr::{IntTerm, Predicate};
     use tracelearn_trace::VarId;
@@ -194,6 +198,30 @@ mod tests {
         // But a model that also loops on `a` fails at l = 2 already.
         nfa.add_transition(StateId::new(1), p[0], StateId::new(1));
         assert!(!is_compliant(&nfa, &sequence, 2));
+    }
+
+    proptest! {
+        /// With `l ≤ w`, the learner's unique solver windows admit exactly
+        /// the length-`l` behaviours of the full sequences: over several
+        /// shards, in full-trace mode, and with shards shorter than `w`.
+        #[test]
+        fn unique_windows_allow_what_the_sequences_allow(
+            shards in proptest::collection::vec(proptest::collection::vec(0usize..4, 0..24), 1..5),
+            w in 1usize..6,
+            l_offset in 0usize..6,
+            segmented in proptest::bool::ANY,
+        ) {
+            let (_, p) = alphabet_of(4);
+            let sequences: Vec<Vec<PredId>> = shards
+                .iter()
+                .map(|shard| shard.iter().map(|&k| p[k]).collect())
+                .collect();
+            let l = 1 + l_offset % w;
+            let (windows, _) = segment(&sequences, w, segmented);
+            let from_windows = ComplianceChecker::new(&windows, l);
+            let from_sequences = ComplianceChecker::new(&sequences, l);
+            prop_assert_eq!(from_windows.allowed, from_sequences.allowed);
+        }
     }
 
     #[test]

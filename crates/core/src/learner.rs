@@ -7,10 +7,10 @@
 //! * [`Learner::learn_many`] — a [`TraceSet`] of recorded runs: predicate
 //!   windows are extracted *per trace* (never spanning a trace boundary) and
 //!   merged into one SAT instance over a shared alphabet;
-//! * [`Learner::learn_streamed`] — a [`StreamingCsvReader`]: observations
-//!   are consumed in bounded chunks, so only the chunk, the unique-window
-//!   set (small, by the paper's key insight) and the predicate-id sequence
-//!   stay resident — the raw trace never does.
+//! * [`Learner::learn_streamed`] — a [`StreamingCsvReader`]: observation
+//!   ids are consumed in bounded chunks, so only the chunk, the distinct
+//!   observations and windows (few, by the paper's key insight) and the
+//!   window-id sequence stay resident — the raw trace never does.
 //!
 //! The in-memory entry points differ only in calibration and share one
 //! extraction body over shard slices; all three then segment the predicate
@@ -38,8 +38,8 @@ use tracelearn_automaton::Nfa;
 use tracelearn_sat::{Limits, SatResult, Solver};
 use tracelearn_synth::SynthesisConfig;
 use tracelearn_trace::{
-    Signature, StreamingCsvReader, SymbolTable, Trace, TraceError, TraceSet, Valuation,
-    WindowCollector,
+    IdBuildHasher, Signature, StreamingCsvReader, SymbolTable, Trace, TraceError, TraceSet,
+    Valuation, WindowCollector,
 };
 
 /// Smallest calibration sample for streamed learning: enough observations to
@@ -194,11 +194,12 @@ pub struct LearnStats {
     /// Unique windows *newly contributed* by each shard, in input order:
     /// shard `i`'s count excludes windows already seen in shards `0..i`.
     pub shard_windows: Vec<usize>,
-    /// Largest number of raw observations resident at once. Equals
-    /// `trace_length` for the in-memory paths; for
-    /// [`Learner::learn_streamed`] it counts the rolling chunk buffer, the
-    /// calibration reservoir and the interned distinct observation windows
-    /// (small by the paper's key insight).
+    /// Largest number of observations resident at once, decoded or as
+    /// ids. Equals `trace_length` for the in-memory paths; for
+    /// [`Learner::learn_streamed`] it counts the rolling chunk of
+    /// observation ids, the calibration reservoir's ids, the ids of the
+    /// interned distinct windows and the distinct observations the reader
+    /// decoded (the last two small by the paper's key insight).
     pub peak_resident_observations: usize,
     /// Number of SAT queries issued.
     pub sat_queries: usize,
@@ -234,9 +235,10 @@ pub struct LearnStats {
     /// abstraction).
     pub synthesis_time: Duration,
     /// Wall-clock time spent merging predicate sequences into the unique
-    /// solver windows.
+    /// solver windows, and building the compliance oracle from them.
     pub segmentation_time: Duration,
-    /// Wall-clock time spent in the solver and the compliance loop.
+    /// Wall-clock time spent in the SAT search and its compliance-refinement
+    /// rounds.
     pub solver_time: Duration,
     /// Total wall-clock time.
     pub total_time: Duration,
@@ -396,7 +398,8 @@ impl LearnedModel {
     }
 }
 
-/// Deterministic block-level reservoir sample over a valuation stream.
+/// Deterministic block-level reservoir sample over a stream of observations
+/// (or of their ids).
 ///
 /// The stream is split into consecutive blocks of `block_len` observations
 /// and up to `capacity` blocks are retained, each block surviving with equal
@@ -404,11 +407,11 @@ impl LearnedModel {
 /// PRNG). Sampling whole blocks — rather than single observations — keeps
 /// the observation *pairs and triples* that calibration consumes intact.
 /// Blocks that will not be retained are never materialised.
-struct BlockReservoir {
+struct BlockReservoir<T> {
     block_len: usize,
     capacity: usize,
-    kept: Vec<(usize, Vec<Valuation>)>,
-    current: Vec<Valuation>,
+    kept: Vec<(usize, Vec<T>)>,
+    current: Vec<T>,
     /// Destination of the block being filled: `None` while undecided (block
     /// empty), `Some(None)` = skip, `Some(Some(slot))` = keep.
     destination: Option<Option<usize>>,
@@ -417,7 +420,7 @@ struct BlockReservoir {
     rng: u64,
 }
 
-impl BlockReservoir {
+impl<T: Clone> BlockReservoir<T> {
     fn new(block_len: usize, capacity: usize) -> Self {
         BlockReservoir {
             block_len: block_len.max(1),
@@ -440,7 +443,7 @@ impl BlockReservoir {
         z ^ (z >> 31)
     }
 
-    fn push(&mut self, observation: &Valuation) {
+    fn push(&mut self, observation: &T) {
         if self.destination.is_none() {
             // Decide this block's fate up front so skipped blocks cost no
             // clones: block `j` survives with probability `capacity / (j+1)`.
@@ -484,7 +487,7 @@ impl BlockReservoir {
     /// Finishes the stream, returning the sampled blocks in stream order and
     /// whether they are the *complete* stream (every block retained — the
     /// blocks then reassemble into the exact input).
-    fn finish(mut self) -> (Vec<Vec<Valuation>>, bool) {
+    fn finish(mut self) -> (Vec<Vec<T>>, bool) {
         if self.fill > 0 {
             self.commit();
         }
@@ -624,16 +627,20 @@ impl Learner {
     /// trace.
     ///
     /// The stream is swept exactly once, in chunks of
-    /// [`stream_chunk`](LearnerConfig::stream_chunk): distinct observation
-    /// windows are interned on the fly (small, by the paper's key insight),
-    /// the per-observation window-id sequence is recorded (4 bytes each),
-    /// and a block reservoir samples up to
+    /// [`stream_chunk`](LearnerConfig::stream_chunk), by observation id (see
+    /// [`StreamingCsvReader::next_observation_id`]): a repeated record costs
+    /// one hash of its bytes, and only the distinct records are decoded.
+    /// Windows of ids are interned on the fly (few, by the paper's key
+    /// insight), the per-observation window-id sequence is recorded (4 bytes
+    /// each), and a block reservoir samples the ids of up to
     /// [`calibration_sample`](LearnerConfig::calibration_sample)
     /// observations **uniformly over the whole stream** for calibration
     /// (constant harvesting, input detection, dominant updates) — so late
     /// behaviour changes are represented, unlike a prefix sample. After the
-    /// sweep, each distinct window is abstracted once and interned in
-    /// first-occurrence order.
+    /// sweep, observations are rebuilt only for the sampled blocks and the
+    /// distinct windows; each distinct window is abstracted once and
+    /// interned in first-occurrence order, and the window-id sequence
+    /// becomes the predicate sequence in place.
     ///
     /// Streams that fit entirely within the calibration sample are
     /// calibrated on the exact input, making the result identical to
@@ -655,9 +662,10 @@ impl Learner {
         let w = config.window;
         let chunk_size = config.stream_chunk.max(w);
 
-        // Pass 1: one streaming sweep — intern distinct observation windows,
-        // record the window-id sequence, and reservoir-sample calibration
-        // blocks uniformly over the whole stream.
+        // Pass 1: one streaming sweep over observation ids — intern distinct
+        // windows of ids, record the window-id sequence, and
+        // reservoir-sample calibration blocks uniformly over the whole
+        // stream.
         let block_len = w.max(RESERVOIR_BLOCK);
         let capacity_observations = config
             .calibration_sample
@@ -665,46 +673,51 @@ impl Learner {
             .max(MIN_STREAM_CALIBRATION);
         let capacity_blocks = capacity_observations.div_ceil(block_len);
         let mut reservoir = BlockReservoir::new(block_len, capacity_blocks);
-        let mut window_ids: HashMap<Vec<Valuation>, u32> = HashMap::new();
+        let mut window_ids: HashMap<Box<[u32]>, u32, IdBuildHasher> = HashMap::default();
+        // The distinct windows' ids back to back, in window-id order.
+        let mut distinct_windows: Vec<u32> = Vec::new();
         let mut wid_sequence: Vec<u32> = Vec::new();
-        let mut buffer: Vec<Valuation> = Vec::new();
-        let mut scratch: Vec<Valuation> = Vec::new();
+        let mut buffer: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         let mut total_observations = 0usize;
         let mut peak_resident = 0usize;
         loop {
             self.check_time(start)?;
-            if reader.read_chunk(chunk_size, &mut scratch)? == 0 {
+            if reader.read_chunk_ids(chunk_size, &mut scratch)? == 0 {
                 break;
             }
             total_observations += scratch.len();
-            for observation in &scratch {
-                reservoir.push(observation);
+            for id in &scratch {
+                reservoir.push(id);
             }
-            buffer.append(&mut scratch);
-            if buffer.len() >= w {
-                for s in 0..=buffer.len() - w {
-                    let window = &buffer[s..s + w];
-                    let id = match window_ids.get(window) {
-                        Some(&id) => id,
-                        None => {
-                            let id = u32::try_from(window_ids.len())
-                                .expect("distinct windows fit in u32");
-                            window_ids.insert(window.to_vec(), id);
-                            id
-                        }
-                    };
-                    wid_sequence.push(id);
-                }
-                // The resident raw observations, measured at the chunk's
-                // high-water mark: the rolling buffer, the calibration
-                // reservoir, and the interned distinct windows.
-                peak_resident = peak_resident
-                    .max(buffer.len() + reservoir.resident_observations() + window_ids.len() * w);
-                buffer.drain(..buffer.len() - (w - 1));
-            } else {
-                peak_resident = peak_resident
-                    .max(buffer.len() + reservoir.resident_observations() + window_ids.len() * w);
+            buffer.extend_from_slice(&scratch);
+            for window in buffer.windows(w) {
+                let id = match window_ids.get(window) {
+                    Some(&id) => id,
+                    None => {
+                        let id = u32::try_from(window_ids.len()).map_err(|_| {
+                            LearnError::BudgetExhausted {
+                                resource: "more distinct windows than 32-bit ids can number"
+                                    .to_owned(),
+                            }
+                        })?;
+                        window_ids.insert(window.into(), id);
+                        distinct_windows.extend_from_slice(window);
+                        id
+                    }
+                };
+                wid_sequence.push(id);
             }
+            // Measured at the chunk's high-water mark: the rolling buffer,
+            // the calibration reservoir, the distinct windows and the
+            // distinct observations the reader decoded.
+            peak_resident = peak_resident.max(
+                buffer.len()
+                    + reservoir.resident_observations()
+                    + distinct_windows.len()
+                    + reader.distinct_observations().len(),
+            );
+            buffer.drain(..buffer.len().saturating_sub(w - 1));
         }
         if total_observations < w {
             return Err(LearnError::TraceTooShort {
@@ -712,23 +725,29 @@ impl Learner {
                 window: w,
             });
         }
-        // Recover the distinct windows in first-occurrence (id) order; the
-        // map owned the only copy of each window's content.
-        let mut window_contents: Vec<Vec<Valuation>> = vec![Vec::new(); window_ids.len()];
-        // tracelint: allow(nondet-iter, every entry is scattered into the Vec slot named by its id, so visit order cannot reach the output)
-        for (content, id) in window_ids {
-            window_contents[id as usize] = content;
-        }
-        drop(buffer);
+        drop(window_ids);
         let ingest_time = start.elapsed();
+
+        // Observations are rebuilt from their ids only for the sampled
+        // blocks and the distinct windows.
+        self.check_time(start)?;
+        let observations = |ids: &[u32]| -> Vec<Valuation> {
+            let distinct = reader.distinct_observations();
+            ids.iter()
+                .map(|&id| distinct[id as usize].clone())
+                .collect()
+        };
+        let window_contents: Vec<Vec<Valuation>> =
+            distinct_windows.chunks_exact(w).map(observations).collect();
+        drop(distinct_windows);
+        let (blocks, complete) = reservoir.finish();
+        let blocks: Vec<Vec<Valuation>> = blocks.iter().map(|block| observations(block)).collect();
+        let (signature, symbols) = reader.into_parts();
 
         // Calibration: a reservoir that retained every block reassembles
         // into the exact stream (identical to in-memory calibration);
         // otherwise each sampled block calibrates as its own shard so that
         // no observation pair straddles a sampling gap.
-        self.check_time(start)?;
-        let (signature, symbols) = reader.into_parts();
-        let (blocks, complete) = reservoir.finish();
         let abstractor = if complete {
             let all: Vec<Valuation> = blocks.into_iter().flatten().collect();
             let calibration = Trace::from_parts(signature.clone(), symbols.clone(), all)?;
@@ -768,11 +787,11 @@ impl Learner {
             wid_to_pred.push(alphabet.intern(abstractor.compute_predicate(content)));
         }
         drop(window_contents);
+        // Same element size: the collect reuses the window-id allocation.
         let sequence: Vec<PredId> = wid_sequence
-            .iter()
-            .map(|&wid| wid_to_pred[wid as usize])
+            .into_iter()
+            .map(|wid| wid_to_pred[wid as usize])
             .collect();
-        drop(wid_sequence);
 
         let stats = LearnStats {
             trace_length: total_observations,
@@ -787,7 +806,8 @@ impl Learner {
 
     /// Phase 2 and 3, shared by every entry point: segments the per-trace
     /// predicate sequences into the unique solver windows — never bridging a
-    /// trace boundary — and searches for the smallest compliant automaton.
+    /// trace boundary — builds the compliance oracle, and searches for the
+    /// smallest compliant automaton.
     fn segment_and_solve(
         &self,
         sequences: Vec<Vec<PredId>>,
@@ -799,21 +819,18 @@ impl Learner {
     ) -> Result<LearnedModel, LearnError> {
         let config = &self.config;
         let segmentation_start = Instant::now();
-        let mut collector = WindowCollector::new(config.window);
-        let mut shard_windows = Vec::with_capacity(sequences.len());
-        for sequence in &sequences {
-            let before = collector.unique_count();
-            if !config.segmented || sequence.len() < config.window {
-                // Full-trace mode, or a shard too short to window: the whole
-                // sequence stands in for a single segment.
-                collector.push_segment(sequence.clone());
-            } else {
-                collector.extend(sequence.iter().copied());
-                collector.end_trace();
-            }
-            shard_windows.push(collector.unique_count() - before);
-        }
-        let windows = collector.into_unique();
+        let (windows, shard_windows) = segment(&sequences, config.window, config.segmented);
+        // The valid-subsequence set is a property of the input alone: build
+        // the compliance oracle once. With `l ≤ w`, every length-`l`
+        // substring of a trace lies inside one of its windows (or its one
+        // full-trace segment), and no window bridges two traces, so the few
+        // unique windows give the same set as the full sequences.
+        let l = config.compliance_length;
+        let checker = if l <= config.window {
+            ComplianceChecker::new(&windows, l)
+        } else {
+            ComplianceChecker::new(&sequences, l)
+        };
         stats.predicate_count = sequences.iter().map(Vec::len).sum();
         stats.alphabet_size = alphabet.len();
         stats.solver_windows = windows.len();
@@ -822,10 +839,6 @@ impl Learner {
 
         debug_assert!(!windows.is_empty());
         let solver_start = Instant::now();
-        // The valid-subsequence set is a property of the input alone: build
-        // the compliance oracle once instead of rescanning the (possibly
-        // multi-million-element) sequences every refinement round.
-        let checker = ComplianceChecker::new(&sequences, config.compliance_length);
         let (num_states, automaton) = self.search(windows, &checker, start, &mut stats)?;
         stats.states = num_states;
         stats.solver_time = solver_start.elapsed();
@@ -989,6 +1002,31 @@ impl Learner {
         }
         Ok(())
     }
+}
+
+/// Segments per-trace predicate sequences into the unique windows of length
+/// `w`, never bridging a trace boundary. Returns them in first-occurrence
+/// order, with the number each shard newly contributed. In full-trace mode
+/// (`segmented == false`), and for a shard shorter than `w`, the whole
+/// sequence stands in for a single segment.
+pub(crate) fn segment(
+    sequences: &[Vec<PredId>],
+    w: usize,
+    segmented: bool,
+) -> (Vec<Vec<PredId>>, Vec<usize>) {
+    let mut collector = WindowCollector::with_hasher(w, IdBuildHasher::default());
+    let mut shard_windows = Vec::with_capacity(sequences.len());
+    for sequence in sequences {
+        let before = collector.unique_count();
+        if !segmented || sequence.len() < w {
+            collector.push_segment(sequence.clone());
+        } else {
+            collector.extend(sequence.iter().copied());
+            collector.end_trace();
+        }
+        shard_windows.push(collector.unique_count() - before);
+    }
+    (collector.into_unique(), shard_windows)
 }
 
 /// Convenience: learns a model with the default configuration.

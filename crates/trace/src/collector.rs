@@ -8,12 +8,14 @@
 //! marks a trace boundary so that multi-trace ingestion never fabricates
 //! phantom windows spanning two traces.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 /// Accumulates the unique sliding windows of length `w` over one or more
 /// item streams, keeping only the unique set (first-occurrence order) and a
-/// `w − 1` item carry resident.
+/// `w − 1` item carry resident. `S` hashes the windows; see
+/// [`with_hasher`](WindowCollector::with_hasher).
 ///
 /// # Example
 ///
@@ -29,11 +31,11 @@ use std::hash::Hash;
 /// assert_eq!(collector.total_windows(), items.len() + 1 - 3);
 /// ```
 #[derive(Debug, Clone)]
-pub struct WindowCollector<T> {
+pub struct WindowCollector<T, S = RandomState> {
     w: usize,
     /// The last `< w` items of the current trace.
     carry: Vec<T>,
-    seen: HashSet<Vec<T>>,
+    seen: HashSet<Vec<T>, S>,
     unique: Vec<Vec<T>>,
     total_windows: usize,
     total_items: usize,
@@ -48,11 +50,24 @@ impl<T: Clone + Eq + Hash> WindowCollector<T> {
     /// streaming semantics; [`unique_windows`](crate::unique_windows)
     /// likewise returns nothing for it).
     pub fn new(w: usize) -> Self {
+        WindowCollector::with_hasher(w, RandomState::new())
+    }
+}
+
+impl<T: Clone + Eq + Hash, S: BuildHasher> WindowCollector<T, S> {
+    /// Creates a collector for windows of length `w` that hashes windows
+    /// with `hasher`, for items that are ids the program assigned (see
+    /// [`IdHasher`](crate::IdHasher)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w == 0`, as [`new`](WindowCollector::new) does.
+    pub fn with_hasher(w: usize, hasher: S) -> Self {
         assert!(w >= 1, "window length must be at least 1");
         WindowCollector {
             w,
             carry: Vec::with_capacity(w),
-            seen: HashSet::new(),
+            seen: HashSet::with_hasher(hasher),
             unique: Vec::new(),
             total_windows: 0,
             total_items: 0,
@@ -62,51 +77,6 @@ impl<T: Clone + Eq + Hash> WindowCollector<T> {
     /// The window length `w`.
     pub fn window(&self) -> usize {
         self.w
-    }
-
-    /// The carried tail of the current trace: the last `< w` items, which
-    /// have not yet completed a window. Together with
-    /// [`unique`](WindowCollector::unique) and the totals this is the
-    /// collector's complete resumable state.
-    pub fn carry(&self) -> &[T] {
-        &self.carry
-    }
-
-    /// Reassembles a collector from its resumable state (see
-    /// [`carry`](WindowCollector::carry)). The dedup set is rebuilt from
-    /// `unique`, so the result continues exactly where the original
-    /// collector stopped.
-    ///
-    /// Returns `None` when the parts are inconsistent: `w == 0`, a unique
-    /// window of the wrong length, a duplicate unique window (the set is
-    /// first-occurrence deduplicated by construction), or a carry at or
-    /// beyond the window length.
-    pub fn from_parts(
-        w: usize,
-        carry: Vec<T>,
-        unique: Vec<Vec<T>>,
-        total_windows: usize,
-        total_items: usize,
-    ) -> Option<Self> {
-        if w == 0 || carry.len() >= w {
-            return None;
-        }
-        let mut seen: HashSet<Vec<T>> = HashSet::with_capacity(unique.len());
-        for window in &unique {
-            // Short-trace segments recorded via `push_segment` may be
-            // shorter than `w`, but nothing can exceed it.
-            if window.len() > w || !seen.insert(window.clone()) {
-                return None;
-            }
-        }
-        Some(WindowCollector {
-            w,
-            carry,
-            seen,
-            unique,
-            total_windows,
-            total_items,
-        })
     }
 
     /// Feeds one item of the current trace.
@@ -227,43 +197,6 @@ mod tests {
     #[should_panic(expected = "window length")]
     fn zero_window_panics() {
         let _ = WindowCollector::<u8>::new(0);
-    }
-
-    #[test]
-    fn from_parts_resumes_where_the_snapshot_stopped() {
-        let mut original = WindowCollector::new(3);
-        original.extend([1u8, 2, 3, 1, 2]);
-        let resumed = WindowCollector::from_parts(
-            original.window(),
-            original.carry().to_vec(),
-            original.unique().to_vec(),
-            original.total_windows(),
-            original.total_items(),
-        )
-        .unwrap();
-        let mut pair = [original, resumed];
-        for collector in &mut pair {
-            collector.extend([4u8, 1, 2, 3]);
-            collector.end_trace();
-        }
-        let [original, resumed] = pair;
-        assert_eq!(original.unique(), resumed.unique());
-        assert_eq!(original.total_windows(), resumed.total_windows());
-        assert_eq!(original.total_items(), resumed.total_items());
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_parts() {
-        // Zero window.
-        assert!(WindowCollector::<u8>::from_parts(0, vec![], vec![], 0, 0).is_none());
-        // Carry as long as the window.
-        assert!(WindowCollector::from_parts(2, vec![1u8, 2], vec![], 0, 0).is_none());
-        // Over-length unique window.
-        assert!(WindowCollector::from_parts(2, vec![], vec![vec![1u8, 2, 3]], 1, 3).is_none());
-        // Duplicate unique windows.
-        assert!(
-            WindowCollector::from_parts(2, vec![], vec![vec![1u8, 2], vec![1, 2]], 2, 3).is_none()
-        );
     }
 
     proptest! {

@@ -34,6 +34,7 @@
 mod collector;
 mod csv;
 mod error;
+mod idhash;
 mod signature;
 mod stats;
 mod stream;
@@ -47,6 +48,7 @@ mod window;
 pub use crate::collector::WindowCollector;
 pub use crate::csv::{parse_csv, to_csv, write_csv, CsvWriter};
 pub use crate::error::TraceError;
+pub use crate::idhash::{IdBuildHasher, IdHasher};
 pub use crate::signature::{Signature, SignatureBuilder, VarId, VarKind, Variable};
 pub use crate::stats::{TraceStats, VarStats};
 pub use crate::stream::{CsvRecordDecoder, StreamingCsvReader};

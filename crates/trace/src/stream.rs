@@ -5,9 +5,10 @@
 //! into a growing [`SymbolTable`] as it goes. It shares the quoting tokenizer
 //! of [`parse_csv`](crate::parse_csv) — the two paths accept exactly the same
 //! inputs — but never materialises more than the current record, which is
-//! what makes multi-million-row traces ingestible: the learner's streaming
-//! entry point keeps only a bounded window of observations plus the (small)
-//! set of unique segments resident.
+//! what makes multi-million-row traces ingestible. Its id path decodes each
+//! distinct record once: the learner's streaming entry point keeps only a
+//! bounded window of observation ids plus the (small) sets of distinct
+//! observations and unique segments resident.
 //!
 //! # Example
 //!
@@ -29,14 +30,15 @@
 //! # }
 //! ```
 
-use crate::csv::{parse_header, split_record, RecordScanner};
+use crate::csv::{find_byte, parse_header, split_record, RecordScanner};
 use crate::error::TraceError;
 use crate::signature::{Signature, VarKind};
 use crate::symbol::SymbolTable;
 use crate::trace::Trace;
 use crate::valuation::Valuation;
 use crate::value::Value;
-use std::io::{BufRead, Read};
+use std::collections::HashMap;
+use std::io::{BufRead, ErrorKind, Read};
 
 /// Upper bound on one buffered record (including a joined multi-line quoted
 /// record). A corrupt row — an unclosed quote, or a line with no newline at
@@ -152,19 +154,28 @@ impl CsvRecordDecoder {
 
 /// An incremental CSV trace reader over any [`BufRead`] source.
 ///
-/// The header is parsed on construction; each call to
-/// [`next_observation`](StreamingCsvReader::next_observation) (or the
-/// [`Iterator`] implementation) consumes exactly one record. Event names are
-/// interned into the reader's own [`SymbolTable`], so all observations of
-/// one stream share consistent [`Value::Sym`] ids.
+/// The header is parsed on construction. Records are then read one at a
+/// time, by either of two paths over one record reader:
+///
+/// * [`next_observation`](StreamingCsvReader::next_observation) (and
+///   [`read_chunk`](StreamingCsvReader::read_chunk) and the [`Iterator`]
+///   implementation) decodes every record into a [`Valuation`];
+/// * [`next_observation_id`](StreamingCsvReader::next_observation_id) (and
+///   [`read_chunk_ids`](StreamingCsvReader::read_chunk_ids)) returns a dense
+///   observation id instead. A record whose bytes were seen before costs one
+///   hash of those bytes; only unseen records are decoded, and
+///   [`distinct_observations`](StreamingCsvReader::distinct_observations)
+///   maps the ids back to their values. Records whose bytes differ but whose
+///   values are equal (`1`, `01`, ` 1`) share one id.
+///
+/// Event names are interned into the reader's own [`SymbolTable`] in
+/// first-occurrence order on both paths, so all observations of one stream
+/// share consistent [`Value::Sym`] ids.
 #[derive(Debug)]
 pub struct StreamingCsvReader<R> {
-    reader: R,
+    source: RecordSource<R>,
     decoder: CsvRecordDecoder,
-    /// One-based number of the last input line consumed.
-    line: usize,
-    /// Scratch buffer holding the current (possibly multi-line) record.
-    record: String,
+    ids: ObservationIds,
     observations_read: usize,
 }
 
@@ -177,18 +188,20 @@ impl<R: BufRead> StreamingCsvReader<R> {
     /// [`TraceError::Parse`] for a malformed header (including empty header
     /// fields) and [`TraceError::Io`] for source failures.
     pub fn new(reader: R) -> Result<Self, TraceError> {
-        let mut this = StreamingCsvReader {
+        let mut source = RecordSource {
             reader,
-            decoder: CsvRecordDecoder::new(Signature::default()),
             line: 0,
-            record: String::new(),
-            observations_read: 0,
+            record: Vec::new(),
         };
-        if !this.next_record()? {
-            return Err(TraceError::EmptyTrace);
-        }
-        this.decoder = CsvRecordDecoder::from_header(&this.record)?;
-        Ok(this)
+        let decoder = source
+            .next_record(|record, line| CsvRecordDecoder::from_header(record_text(record, line)?))?
+            .ok_or(TraceError::EmptyTrace)?;
+        Ok(StreamingCsvReader {
+            source,
+            decoder,
+            ids: ObservationIds::default(),
+            observations_read: 0,
+        })
     }
 
     /// The signature parsed from the header.
@@ -201,9 +214,14 @@ impl<R: BufRead> StreamingCsvReader<R> {
         self.decoder.symbols()
     }
 
-    /// Number of observations yielded so far.
+    /// Number of observations yielded so far, by either path.
     pub fn observations_read(&self) -> usize {
         self.observations_read
+    }
+
+    /// The distinct observations the id path has met, indexed by id.
+    pub fn distinct_observations(&self) -> &[Valuation] {
+        &self.ids.distinct
     }
 
     /// Consumes the reader, returning the signature and the symbol table
@@ -212,126 +230,20 @@ impl<R: BufRead> StreamingCsvReader<R> {
         self.decoder.into_parts()
     }
 
-    /// Reads one more input line into `self.record`, bounded so a single
-    /// newline-free line can never grow the buffer past [`MAX_RECORD_BYTES`]
-    /// — a stalled or malicious producer gets a parse error, not unbounded
-    /// memory. `scanner` scans only the bytes this line appended. Returns
-    /// the bytes read (0 at end of input) and whether the record is complete
-    /// after them.
-    fn read_line_capped(
-        &mut self,
-        scanner: &mut RecordScanner,
-    ) -> Result<(usize, bool), TraceError> {
-        // One spare byte of budget distinguishes "exactly at the cap" from
-        // "past it": a read that fills the whole allowance means the line
-        // kept going.
-        let budget = (MAX_RECORD_BYTES + 1).saturating_sub(self.record.len());
-        let start = self.record.len();
-        let mut limited = (&mut self.reader).take(budget as u64);
-        let read = limited.read_line(&mut self.record)?;
-        let complete = scanner.feed(&self.record.as_bytes()[start..]);
-        if self.record.len() > MAX_RECORD_BYTES {
-            let message = if complete {
-                format!("line exceeds {MAX_RECORD_BYTES} bytes")
-            } else {
-                format!("record exceeds {MAX_RECORD_BYTES} bytes with an unclosed quote")
-            };
-            return Err(TraceError::Parse {
-                line: self.line + 1,
-                message,
-            });
-        }
-        Ok((read, complete))
-    }
-
-    /// Reads the next non-blank record into `self.record`, joining lines
-    /// while a quoted field is open. Returns `false` at end of input.
-    fn next_record(&mut self) -> Result<bool, TraceError> {
-        loop {
-            self.record.clear();
-            let mut scanner = RecordScanner::default();
-            let (read, mut complete) = self.read_line_capped(&mut scanner)?;
-            if read == 0 {
-                return Ok(false);
-            }
-            self.line += 1;
-            // A record continues onto following lines while a quoted field
-            // is still open (an embedded newline inside the field). The
-            // scanner carries its state across lines, so each byte is
-            // scanned once however many lines the record joins.
-            while !complete {
-                let (more, now_complete) = self.read_line_capped(&mut scanner)?;
-                if more == 0 {
-                    break; // unterminated quote; the tokenizer reports it
-                }
-                complete = now_complete;
-                self.line += 1;
-            }
-            while self.record.ends_with('\n') || self.record.ends_with('\r') {
-                self.record.pop();
-            }
-            if self.record.trim().is_empty() {
-                continue;
-            }
-            #[cfg(feature = "fault-injection")]
-            if !self.inject_record_faults() {
-                return Ok(false);
-            }
-            return Ok(true);
-        }
-    }
-
-    /// Applies any armed ingestion faults to the record just read. Returns
-    /// `false` when an injected short read ends the stream here.
-    #[cfg(feature = "fault-injection")]
-    fn inject_record_faults(&mut self) -> bool {
-        use tracelearn_faults::{trip, trip_value, FaultSite};
-
-        fn char_floor(s: &str, mut at: usize) -> usize {
-            while at > 0 && !s.is_char_boundary(at) {
-                at -= 1;
-            }
-            at
-        }
-
-        if trip(FaultSite::CsvShortRead) {
-            // The stream ends early, as if the producer was cut off after a
-            // complete record.
-            return false;
-        }
-        if let Some(value) = trip_value(FaultSite::CsvTornRecord) {
-            if !self.record.is_empty() {
-                let cut = char_floor(&self.record, value as usize % self.record.len());
-                self.record.truncate(cut);
-            }
-        }
-        if let Some(value) = trip_value(FaultSite::CsvCorruptByte) {
-            if !self.record.is_empty() {
-                let at = char_floor(&self.record, value as usize % self.record.len());
-                if let Some(ch) = self.record[at..].chars().next() {
-                    // U+001A SUBSTITUTE: the classic "this byte was lost"
-                    // marker; parses as neither a number nor a clean name.
-                    self.record.replace_range(at..at + ch.len_utf8(), "\u{1A}");
-                }
-            }
-        }
-        true
-    }
-
     /// Reads the next observation, or `None` at end of input.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Parse`] (with the line number of the record's
-    /// last line) for malformed rows and [`TraceError::Io`] for source
-    /// failures.
+    /// last line) for malformed rows, including rows that are not valid
+    /// UTF-8, and [`TraceError::Io`] for source failures.
     pub fn next_observation(&mut self) -> Result<Option<Valuation>, TraceError> {
-        if !self.next_record()? {
-            return Ok(None);
-        }
-        let observation = self.decoder.decode(&self.record, self.line)?;
-        self.observations_read += 1;
-        Ok(Some(observation))
+        let decoder = &mut self.decoder;
+        let observation = self
+            .source
+            .next_record(|record, line| decoder.decode(record_text(record, line)?, line))?;
+        self.observations_read += usize::from(observation.is_some());
+        Ok(observation)
     }
 
     /// Reads up to `max_rows` observations into `out` (which is cleared
@@ -355,6 +267,46 @@ impl<R: BufRead> StreamingCsvReader<R> {
         Ok(out.len())
     }
 
+    /// Reads the next observation as an id into
+    /// [`distinct_observations`](StreamingCsvReader::distinct_observations),
+    /// or `None` at end of input. Ids are dense and numbered in order of
+    /// first occurrence.
+    ///
+    /// # Errors
+    ///
+    /// As for [`StreamingCsvReader::next_observation`], with the same line
+    /// numbers and messages, plus [`TraceError::Parse`] when a stream holds
+    /// more distinct observations than a `u32` can number.
+    pub fn next_observation_id(&mut self) -> Result<Option<u32>, TraceError> {
+        let (ids, decoder) = (&mut self.ids, &mut self.decoder);
+        let id = self
+            .source
+            .next_record(|record, line| ids.lookup(record, line, decoder))?;
+        self.observations_read += usize::from(id.is_some());
+        Ok(id)
+    }
+
+    /// Reads up to `max_rows` observation ids into `out` (which is cleared
+    /// first), returning how many were read. Zero means end of input.
+    ///
+    /// # Errors
+    ///
+    /// See [`StreamingCsvReader::next_observation_id`].
+    pub fn read_chunk_ids(
+        &mut self,
+        max_rows: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<usize, TraceError> {
+        out.clear();
+        while out.len() < max_rows {
+            match self.next_observation_id()? {
+                Some(id) => out.push(id),
+                None => break,
+            }
+        }
+        Ok(out.len())
+    }
+
     /// Reads the remaining observations into an in-memory [`Trace`].
     ///
     /// # Errors
@@ -368,6 +320,292 @@ impl<R: BufRead> StreamingCsvReader<R> {
         let (signature, symbols) = self.decoder.into_parts();
         Trace::from_parts(signature, symbols, observations)
     }
+}
+
+/// The record reader under both of [`StreamingCsvReader`]'s read paths: it
+/// splits the source into records, joining lines while a quoted field is
+/// open, numbers lines, skips blank records, enforces
+/// [`MAX_RECORD_BYTES`] and applies injected ingestion faults.
+#[derive(Debug)]
+struct RecordSource<R> {
+    reader: R,
+    /// One-based number of the last input line consumed.
+    line: usize,
+    /// A record that is not one whole line of the source's buffer: joined
+    /// lines, a line that straddles the buffer's end, or a last line with
+    /// no line end.
+    record: Vec<u8>,
+}
+
+impl<R: BufRead> RecordSource<R> {
+    /// Reads the next non-blank record and hands its bytes, without the line
+    /// end, to `take` with the number of its last line. Returns `None` at
+    /// end of input.
+    ///
+    /// A record that is one whole line of the source's buffer is handed
+    /// over in place, without a copy; any other is first gathered into
+    /// `self.record`.
+    fn next_record<T>(
+        &mut self,
+        take: impl FnOnce(&[u8], usize) -> Result<T, TraceError>,
+    ) -> Result<Option<T>, TraceError> {
+        loop {
+            let buffer = match self.reader.fill_buf() {
+                // One empty read is the end of input, as for `read_until`: an
+                // interactive source may have more after it.
+                Ok([]) => return Ok(None),
+                Ok(buffer) => buffer,
+                Err(error) if error.kind() == ErrorKind::Interrupted => continue,
+                Err(error) => return Err(error.into()),
+            };
+            let (record, line_len) = match whole_line(buffer) {
+                Some(line_len) => {
+                    self.line += 1;
+                    (trim_line_end(&buffer[..line_len]), line_len)
+                }
+                None => {
+                    if !self.read_joined_record()? {
+                        return Ok(None);
+                    }
+                    (self.record.as_slice(), 0)
+                }
+            };
+            if is_blank(record) {
+                self.reader.consume(line_len);
+                continue;
+            }
+            #[cfg(feature = "fault-injection")]
+            let rewritten;
+            #[cfg(feature = "fault-injection")]
+            let record = match inject_record_faults(record) {
+                Injected::ShortRead => {
+                    self.reader.consume(line_len);
+                    return Ok(None);
+                }
+                Injected::Rewritten(bytes) => {
+                    rewritten = bytes;
+                    rewritten.as_slice()
+                }
+                Injected::Unchanged => record,
+            };
+            let taken = take(record, self.line);
+            self.reader.consume(line_len);
+            return taken.map(Some);
+        }
+    }
+
+    /// Reads one more input line into `self.record`, bounded so a single
+    /// newline-free line can never grow the buffer past [`MAX_RECORD_BYTES`]
+    /// — a stalled or malicious producer gets a parse error, not unbounded
+    /// memory. `scanner` scans only the bytes this line appended. Returns
+    /// the bytes read (0 at end of input) and whether the record is complete
+    /// after them.
+    fn read_line_capped(
+        &mut self,
+        scanner: &mut RecordScanner,
+    ) -> Result<(usize, bool), TraceError> {
+        // One spare byte of budget distinguishes "exactly at the cap" from
+        // "past it": a read that fills the whole allowance means the line
+        // kept going.
+        let budget = (MAX_RECORD_BYTES + 1).saturating_sub(self.record.len());
+        let start = self.record.len();
+        let mut limited = (&mut self.reader).take(budget as u64);
+        let read = limited.read_until(b'\n', &mut self.record)?;
+        let complete = scanner.feed(&self.record[start..]);
+        if self.record.len() > MAX_RECORD_BYTES {
+            let message = if complete {
+                format!("line exceeds {MAX_RECORD_BYTES} bytes")
+            } else {
+                format!("record exceeds {MAX_RECORD_BYTES} bytes with an unclosed quote")
+            };
+            return Err(TraceError::Parse {
+                line: self.line + 1,
+                message,
+            });
+        }
+        Ok((read, complete))
+    }
+
+    /// Reads the next record into `self.record` without its line end,
+    /// joining lines while a quoted field is open. Returns `false` at end of
+    /// input.
+    fn read_joined_record(&mut self) -> Result<bool, TraceError> {
+        self.record.clear();
+        let mut scanner = RecordScanner::default();
+        let (read, mut complete) = self.read_line_capped(&mut scanner)?;
+        if read == 0 {
+            return Ok(false);
+        }
+        self.line += 1;
+        // A record continues onto following lines while a quoted field is
+        // still open (an embedded newline inside the field). The scanner
+        // carries its state across lines, so each byte is scanned once
+        // however many lines the record joins.
+        while !complete {
+            let (more, now_complete) = self.read_line_capped(&mut scanner)?;
+            if more == 0 {
+                break; // unterminated quote; the tokenizer reports it
+            }
+            complete = now_complete;
+            self.line += 1;
+        }
+        let len = trim_line_end(&self.record).len();
+        self.record.truncate(len);
+        Ok(true)
+    }
+}
+
+/// The length, line end included, of the first line of `buffer` when that
+/// line is a whole record within [`MAX_RECORD_BYTES`]: it ends in the
+/// buffer and leaves no quoted field open. `None` sends the record down the
+/// joining path.
+fn whole_line(buffer: &[u8]) -> Option<usize> {
+    let capped = &buffer[..buffer.len().min(MAX_RECORD_BYTES)];
+    let line_len = find_byte(capped, b'\n')? + 1;
+    RecordScanner::default()
+        .feed(&buffer[..line_len])
+        .then_some(line_len)
+}
+
+/// `line` without the `\n` and `\r` bytes that end it.
+fn trim_line_end(line: &[u8]) -> &[u8] {
+    let end = line
+        .iter()
+        .rposition(|&b| b != b'\n' && b != b'\r')
+        .map_or(0, |last| last + 1);
+    &line[..end]
+}
+
+/// Whether a record holds only whitespace (Unicode `White_Space`, as
+/// `str::trim` has it). Decides on the first non-blank ASCII byte without
+/// UTF-8 validation; a record that is not UTF-8 is not blank, and fails
+/// when decoded.
+fn is_blank(record: &[u8]) -> bool {
+    match record
+        .iter()
+        .position(|&b| !matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r'))
+    {
+        None => true,
+        Some(at) if record[at].is_ascii() => false,
+        Some(at) => std::str::from_utf8(&record[at..]).is_ok_and(|rest| rest.trim().is_empty()),
+    }
+}
+
+/// `record` as text, or the parse error a record that is not UTF-8 gets.
+fn record_text(record: &[u8], line: usize) -> Result<&str, TraceError> {
+    std::str::from_utf8(record).map_err(|_| TraceError::Parse {
+        line,
+        message: "record is not valid UTF-8".to_owned(),
+    })
+}
+
+/// The id path's two maps. A record whose bytes were seen before is found
+/// by those bytes; only an unseen record is decoded, and then matched by
+/// value, so ids stay exact however a value is spelt.
+#[derive(Debug, Default)]
+struct ObservationIds {
+    /// Record bytes to id. The keys come from the input, so the map keeps
+    /// std's keyed hasher.
+    by_record: HashMap<Box<[u8]>, u32>,
+    /// Decoded value to id.
+    by_value: HashMap<Valuation, u32>,
+    /// The observation of each id, in id order.
+    distinct: Vec<Valuation>,
+}
+
+impl ObservationIds {
+    /// The id of `record`: one hash of its bytes when they were seen before.
+    fn lookup(
+        &mut self,
+        record: &[u8],
+        line: usize,
+        decoder: &mut CsvRecordDecoder,
+    ) -> Result<u32, TraceError> {
+        match self.by_record.get(record) {
+            Some(&id) => Ok(id),
+            None => self.insert(record, line, decoder),
+        }
+    }
+
+    /// Decodes an unseen record and gives it the id of an equal observation,
+    /// or the next free id.
+    fn insert(
+        &mut self,
+        record: &[u8],
+        line: usize,
+        decoder: &mut CsvRecordDecoder,
+    ) -> Result<u32, TraceError> {
+        let observation = decoder.decode(record_text(record, line)?, line)?;
+        let id = match self.by_value.get(&observation) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.distinct.len()).map_err(|_| TraceError::Parse {
+                    line,
+                    message: "more distinct observations than 32-bit ids can number".to_owned(),
+                })?;
+                self.by_value.insert(observation.clone(), id);
+                self.distinct.push(observation);
+                id
+            }
+        };
+        self.by_record.insert(record.into(), id);
+        Ok(id)
+    }
+}
+
+/// What the armed ingestion faults did to a record.
+#[cfg(feature = "fault-injection")]
+enum Injected {
+    /// The stream ends before this record, as if the producer was cut off
+    /// after a complete record.
+    ShortRead,
+    /// The record was torn or had a byte corrupted.
+    Rewritten(Vec<u8>),
+    Unchanged,
+}
+
+/// Applies any armed ingestion faults to the record just read.
+#[cfg(feature = "fault-injection")]
+fn inject_record_faults(record: &[u8]) -> Injected {
+    use tracelearn_faults::{trip, trip_value, FaultSite};
+
+    fn char_floor(s: &str, mut at: usize) -> usize {
+        while at > 0 && !s.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    if trip(FaultSite::CsvShortRead) {
+        return Injected::ShortRead;
+    }
+    let torn = trip_value(FaultSite::CsvTornRecord);
+    let corrupt = trip_value(FaultSite::CsvCorruptByte);
+    if torn.is_none() && corrupt.is_none() {
+        return Injected::Unchanged;
+    }
+    // A record that is not UTF-8 fails to decode whatever a fault does.
+    let Ok(text) = std::str::from_utf8(record) else {
+        return Injected::Unchanged;
+    };
+    let mut text = text.to_owned();
+    if let Some(value) = torn {
+        if !text.is_empty() {
+            let cut = char_floor(&text, value as usize % text.len());
+            text.truncate(cut);
+        }
+    }
+    if let Some(value) = corrupt {
+        if !text.is_empty() {
+            let at = char_floor(&text, value as usize % text.len());
+            if let Some(ch) = text[at..].chars().next() {
+                // U+001A SUBSTITUTE: the classic "this byte was lost"
+                // marker; parses as neither a number nor a clean name.
+                text.replace_range(at..at + ch.len_utf8(), "\u{1A}");
+            }
+        }
+    }
+    Injected::Rewritten(text.into_bytes())
 }
 
 impl<R: BufRead> Iterator for StreamingCsvReader<R> {
@@ -505,6 +743,132 @@ mod tests {
             Err(TraceError::Parse { line: 9, .. })
         ));
         assert!(CsvRecordDecoder::from_header("op:notakind").is_err());
+    }
+
+    /// Reads `input` to its end or first error through a `BufReader` of
+    /// `capacity` bytes, by value (`by_id == false`) or by id mapped back
+    /// through `distinct_observations`.
+    fn read_all(
+        input: &[u8],
+        capacity: usize,
+        by_id: bool,
+    ) -> (Vec<Valuation>, Option<TraceError>, SymbolTable) {
+        let source = std::io::BufReader::with_capacity(capacity, input);
+        let mut reader = StreamingCsvReader::new(source).unwrap();
+        let mut observations = Vec::new();
+        let error = loop {
+            let next = if by_id {
+                reader
+                    .next_observation_id()
+                    .map(|id| id.map(|id| reader.distinct_observations()[id as usize].clone()))
+            } else {
+                reader.next_observation()
+            };
+            match next {
+                Ok(Some(observation)) => observations.push(observation),
+                Ok(None) => break None,
+                Err(error) => break Some(error),
+            }
+        };
+        assert_eq!(reader.observations_read(), observations.len());
+        let (_, symbols) = reader.into_parts();
+        (observations, error, symbols)
+    }
+
+    #[test]
+    fn ids_reproduce_decoded_observations_and_symbols() {
+        // Records with equal values spelt differently (`1`, `01`, ` 1`,
+        // quoted and unquoted names), quoted fields with commas, escaped
+        // quotes and embedded newlines, CRLF line ends and blank lines.
+        let body = "read,1,true\nread,01,true\n read , 1 ,true\n\"read\",1,true\n\n   \n\
+                    \"wr\nite\",2,false\r\nwrite,2,false\r\n\r\n\"a,b\",3,true\n\
+                    \"say \"\"hi\"\"\",-4,false\nread,1,true\nwrite,2,false";
+        let mut valid = String::from("op:event,x:int,b:bool\r\n\n");
+        for _ in 0..4 {
+            valid.push_str(body);
+            valid.push('\n');
+        }
+        let after_hits = format!("{valid}read,1,true\nread,x,true\nread,1,true\n");
+        let unclosed = format!("{valid}\"open,1,true\nread,1,true\n");
+        let short_row = format!("{valid}read,1\n");
+        let no_last_line_end = format!("{valid}\"say \"\"hi\"\"\",-4,false\nread,1,true");
+        let mut not_utf8 = valid.clone().into_bytes();
+        not_utf8.extend_from_slice(b"read,1,true\nre\xffad,1,true\nread,1,true\n");
+        for input in [
+            valid.as_bytes(),
+            after_hits.as_bytes(),
+            unclosed.as_bytes(),
+            short_row.as_bytes(),
+            no_last_line_end.as_bytes(),
+            &not_utf8,
+        ] {
+            // Small buffers make lines straddle the buffer's end.
+            for capacity in [1, 3, 7, 16, 64, 8192] {
+                let by_value = read_all(input, capacity, false);
+                let by_id = read_all(input, capacity, true);
+                assert_eq!(by_value, by_id, "capacity {capacity}");
+            }
+        }
+        let (observations, error, _) = read_all(valid.as_bytes(), 5, false);
+        assert_eq!(error, None);
+        assert_eq!(observations.len(), 4 * 10);
+        // `1`, `01`, ` 1` and a quoted name are one observation.
+        let mut reader = StreamingCsvReader::new(valid.as_bytes()).unwrap();
+        let mut ids = Vec::new();
+        reader.read_chunk_ids(4, &mut ids).unwrap();
+        assert_eq!(ids, [0, 0, 0, 0]);
+        while reader.read_chunk_ids(3, &mut ids).unwrap() > 0 {}
+        assert_eq!(reader.distinct_observations().len(), 5);
+
+        let errors: Vec<Option<TraceError>> = [&after_hits, &unclosed, &short_row]
+            .iter()
+            .map(|input| read_all(input.as_bytes(), 8192, true).1)
+            .chain([read_all(&not_utf8, 8192, true).1])
+            .collect();
+        let line = valid.lines().count();
+        assert!(
+            matches!(&errors[0], Some(TraceError::Parse { line: l, message }) if *l == line + 2 && message.contains("not an integer")),
+            "{errors:?}"
+        );
+        assert!(
+            matches!(&errors[1], Some(TraceError::Parse { .. })),
+            "{errors:?}"
+        );
+        assert!(
+            matches!(&errors[2], Some(TraceError::Parse { line: l, .. }) if *l == line + 1),
+            "{errors:?}"
+        );
+        assert_eq!(
+            errors[3],
+            Some(TraceError::Parse {
+                line: line + 2,
+                message: "record is not valid UTF-8".to_owned(),
+            })
+        );
+    }
+
+    #[test]
+    fn blank_records_are_those_str_trim_empties() {
+        for text in [
+            "",
+            " ",
+            "\t\u{b}\u{c}\r",
+            "\u{a0}",
+            "\u{3000} \u{2028}",
+            "\u{85}",
+            "\u{1c}",
+            "x",
+            " x",
+            "\u{a0}x",
+            "\u{3000}\u{e9}",
+        ] {
+            assert_eq!(
+                is_blank(text.as_bytes()),
+                text.trim().is_empty(),
+                "{text:?}"
+            );
+        }
+        assert!(!is_blank(b" \xff"));
     }
 
     #[test]

@@ -17,10 +17,12 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use tracelearn_core::{LearnError, Learner, LearnerConfig};
 use tracelearn_faults::{disarm, install, FaultPlan};
 use tracelearn_serve::{
     serve_commands, serve_csv_stream, ModelSpec, Registry, ServeOptions, ServeSummary,
 };
+use tracelearn_trace::{StreamingCsvReader, Trace, TraceError};
 use tracelearn_workloads::Workload;
 
 /// The armed fault plan is process-global state: serialize every test.
@@ -375,6 +377,56 @@ fn corrupt_byte_fails_one_stream_with_a_parse_error() {
         "no error line in:\n{output}"
     );
     assert!(!output.contains("summary "), "no summary after failure");
+}
+
+/// The trace `read_chunk` yields under the armed `spec`, or the error it
+/// stops with.
+fn read_chunks_under(spec: &str, csv: &str) -> Result<Trace, TraceError> {
+    with_plan(spec, || {
+        let mut reader = StreamingCsvReader::new(csv.as_bytes())?;
+        let (mut observations, mut chunk) = (Vec::new(), Vec::new());
+        while reader.read_chunk(64, &mut chunk)? > 0 {
+            observations.append(&mut chunk);
+        }
+        let (signature, symbols) = reader.into_parts();
+        Trace::from_parts(signature, symbols, observations)
+    })
+}
+
+#[test]
+fn learn_streamed_meets_ingestion_faults_where_read_chunk_does() {
+    let _lock = serial();
+    let csv = counter_csv(300);
+    let learner = Learner::new(LearnerConfig::default());
+    let learn_streamed = |spec: &str| {
+        with_plan(spec, || {
+            let reader = StreamingCsvReader::new(csv.as_bytes()).expect("the header is intact");
+            learner.learn_streamed(reader)
+        })
+    };
+
+    // The short read ends one read call at data record 99; a chunked
+    // reader reads on past it. The id path must lose the same record.
+    let spec = "seed:7,spec:csv.short@100";
+    let trace = read_chunks_under(spec, &csv).expect("no record is malformed");
+    assert_eq!(trace.len(), 299);
+    let expected = learner.learn(&trace).expect("the counter is learnable");
+    let model = learn_streamed(spec).expect("the counter is learnable");
+    assert_eq!(model.stats().trace_length, trace.len());
+    assert_eq!(model.predicate_sequence(), expected.predicate_sequence());
+
+    // A corrupt record fails both paths at the same line, with the same
+    // message.
+    let spec = "seed:7,spec:csv.corrupt@50";
+    let error = read_chunks_under(spec, &csv).expect_err("the corrupt record fails");
+    assert!(
+        matches!(error, TraceError::Parse { line: 50, .. }),
+        "{error:?}"
+    );
+    match learn_streamed(spec) {
+        Err(LearnError::Trace(streamed)) => assert_eq!(streamed, error),
+        other => panic!("expected the parse error {error:?}, got {other:?}"),
+    }
 }
 
 #[test]

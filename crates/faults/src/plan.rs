@@ -24,7 +24,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
     /// `csv.short` — the streaming reader reports end-of-input early,
-    /// truncating the stream after a complete record.
+    /// truncating the stream after a complete record; every later read of
+    /// that reader reports end-of-input too.
     CsvShortRead,
     /// `csv.torn` — a record is cut at a seeded offset, as if the producer
     /// died mid-write.

@@ -7,6 +7,12 @@ use crate::lit::{Lit, Var};
 /// `Cnf` is the interface used by the automaton encoder: allocate variables,
 /// add clauses, and use the cardinality helpers for one-hot state encodings.
 ///
+/// The clauses are stored flat: every literal in one buffer, in clause
+/// order, plus the end offset of each clause. Adding a clause appends to
+/// both buffers and never allocates a clause of its own, so building a
+/// formula of hundreds of thousands of clauses costs a few dozen buffer
+/// growths, and [`Cnf::clauses`] hands each clause out as a slice.
+///
 /// # Example
 ///
 /// ```
@@ -21,13 +27,34 @@ use crate::lit::{Lit, Var};
 #[derive(Debug, Clone, Default)]
 pub struct Cnf {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    /// The literals of every clause, back to back.
+    lits: Vec<Lit>,
+    /// The end offset in `lits` of each clause; clause `i` starts where
+    /// clause `i − 1` ends.
+    ends: Vec<u32>,
 }
 
 impl Cnf {
     /// Creates an empty formula with no variables.
     pub fn new() -> Self {
         Cnf::default()
+    }
+
+    /// Creates an empty formula over `num_vars` fresh variables, numbered
+    /// from zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars` does not fit in `u32`.
+    pub fn with_vars(num_vars: usize) -> Self {
+        assert!(
+            u32::try_from(num_vars).is_ok(),
+            "variable count fits in u32"
+        );
+        Cnf {
+            num_vars,
+            ..Cnf::default()
+        }
     }
 
     /// Allocates a fresh variable.
@@ -49,12 +76,15 @@ impl Cnf {
 
     /// Number of clauses added so far.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
-    /// The clauses added so far.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// The clauses added so far, in the order they were added.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+            &self.lits[start..self.ends[i] as usize]
+        })
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -68,14 +98,16 @@ impl Cnf {
     where
         I: IntoIterator<Item = Lit>,
     {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for lit in &clause {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        for lit in &self.lits[start..] {
             assert!(
                 lit.var().index() < self.num_vars,
                 "literal {lit} refers to an unallocated variable"
             );
         }
-        self.clauses.push(clause);
+        let end = u32::try_from(self.lits.len()).expect("literal count fits in u32");
+        self.ends.push(end);
     }
 
     /// Adds the implication `premise → conclusion` as a clause.
@@ -139,8 +171,28 @@ mod tests {
         let vars = cnf.new_vars(3);
         assert_eq!(cnf.num_vars(), 3);
         cnf.add_clause([Lit::positive(vars[0])]);
+        cnf.add_clause([]);
+        cnf.add_clause([Lit::negative(vars[2]), Lit::positive(vars[1])]);
+        assert_eq!(cnf.num_clauses(), 3);
+        let clauses: Vec<&[Lit]> = cnf.clauses().collect();
+        assert_eq!(
+            clauses,
+            [
+                &[Lit::positive(vars[0])][..],
+                &[],
+                &[Lit::negative(vars[2]), Lit::positive(vars[1])],
+            ]
+        );
+    }
+
+    #[test]
+    fn with_vars_allocates_like_new_var() {
+        let mut cnf = Cnf::with_vars(3);
+        assert_eq!(cnf.num_vars(), 3);
+        assert_eq!(cnf.num_clauses(), 0);
+        assert_eq!(cnf.new_var(), Var::new(3));
+        cnf.add_clause([Lit::negative(Var::new(2))]);
         assert_eq!(cnf.num_clauses(), 1);
-        assert_eq!(cnf.clauses().len(), 1);
     }
 
     #[test]

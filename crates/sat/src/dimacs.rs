@@ -139,7 +139,7 @@ mod tests {
         let parsed = from_dimacs(&text).unwrap();
         assert_eq!(parsed.num_vars(), 3);
         assert_eq!(parsed.num_clauses(), 2);
-        assert_eq!(parsed.clauses(), cnf.clauses());
+        assert!(parsed.clauses().eq(cnf.clauses()));
     }
 
     #[test]

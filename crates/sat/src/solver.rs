@@ -336,6 +336,8 @@ pub struct Solver {
     prop_limit: Option<u64>,
     prop_budget_hit: bool,
     failed: Vec<Lit>,
+    /// Scratch buffer in which [`Solver::add_clause`] normalises a clause.
+    add_buffer: Vec<Lit>,
     /// Cooperative interrupt: when the flag is raised by another thread the
     /// current solve call abandons its work with [`SatResult::Unknown`].
     interrupt: Option<Arc<AtomicBool>>,
@@ -379,11 +381,12 @@ impl Solver {
             prop_limit: None,
             prop_budget_hit: false,
             failed: Vec::new(),
+            add_buffer: Vec::new(),
             interrupt: None,
         }
     }
 
-    /// Creates a solver and loads every clause of `cnf`.
+    /// Creates a solver and loads every clause of `cnf`, in order.
     pub fn from_cnf(cnf: &Cnf) -> Self {
         let mut solver = Solver::new(cnf.num_vars());
         for clause in cnf.clauses() {
@@ -497,35 +500,38 @@ impl Solver {
         }
         // Reset to decision level 0 so value checks below are top-level facts.
         self.backjump(0);
-        let mut clause: Vec<Lit> = lits.into_iter().collect();
+        // Normalise in the solver's scratch buffer, so loading a clause
+        // allocates nothing of its own.
+        let mut clause = std::mem::take(&mut self.add_buffer);
+        clause.clear();
+        clause.extend(lits);
         for lit in &clause {
             assert!(lit.var().index() < self.num_vars, "literal out of range");
         }
-        clause.sort();
+        // Equal literals are indistinguishable, so an unstable sort orders
+        // the clause exactly as a stable one would.
+        clause.sort_unstable();
         clause.dedup();
         // Tautologies are trivially satisfied.
-        for i in 1..clause.len() {
-            if clause[i] == !clause[i - 1] {
-                return;
-            }
-        }
+        let tautology = clause.windows(2).any(|pair| pair[1] == !pair[0]);
         // Remove literals already false at top level; drop satisfied clauses.
         clause.retain(|&l| self.lit_value(l) != Some(false));
-        if clause.iter().any(|&l| self.lit_value(l) == Some(true)) {
-            return;
-        }
-        match clause.len() {
-            0 => self.ok = false,
-            1 => {
-                if !self.enqueue(clause[0], Reason::None) || self.propagate().is_some() {
-                    self.ok = false;
+        let satisfied = tautology || clause.iter().any(|&l| self.lit_value(l) == Some(true));
+        if !satisfied {
+            match clause.len() {
+                0 => self.ok = false,
+                1 => {
+                    if !self.enqueue(clause[0], Reason::None) || self.propagate().is_some() {
+                        self.ok = false;
+                    }
+                }
+                2 => self.attach_binary(clause[0], clause[1], false),
+                _ => {
+                    self.attach(&clause, false);
                 }
             }
-            2 => self.attach_binary(clause[0], clause[1], false),
-            _ => {
-                self.attach(&clause, false);
-            }
         }
+        self.add_buffer = clause;
     }
 
     /// Attaches a non-binary clause to the arena and the watch lists.

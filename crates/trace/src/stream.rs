@@ -192,6 +192,8 @@ impl<R: BufRead> StreamingCsvReader<R> {
             reader,
             line: 0,
             record: Vec::new(),
+            #[cfg(feature = "fault-injection")]
+            cut_short: false,
         };
         let decoder = source
             .next_record(|record, line| CsvRecordDecoder::from_header(record_text(record, line)?))?
@@ -335,6 +337,10 @@ struct RecordSource<R> {
     /// lines, a line that straddles the buffer's end, or a last line with
     /// no line end.
     record: Vec<u8>,
+    /// Set when an injected short read has ended the stream: every later
+    /// read reports end of input too, as from a producer that was cut off.
+    #[cfg(feature = "fault-injection")]
+    cut_short: bool,
 }
 
 impl<R: BufRead> RecordSource<R> {
@@ -349,6 +355,10 @@ impl<R: BufRead> RecordSource<R> {
         &mut self,
         take: impl FnOnce(&[u8], usize) -> Result<T, TraceError>,
     ) -> Result<Option<T>, TraceError> {
+        #[cfg(feature = "fault-injection")]
+        if self.cut_short {
+            return Ok(None);
+        }
         loop {
             let buffer = match self.reader.fill_buf() {
                 // One empty read is the end of input, as for `read_until`: an
@@ -380,6 +390,7 @@ impl<R: BufRead> RecordSource<R> {
             let record = match inject_record_faults(record) {
                 Injected::ShortRead => {
                     self.reader.consume(line_len);
+                    self.cut_short = true;
                     return Ok(None);
                 }
                 Injected::Rewritten(bytes) => {
@@ -557,7 +568,7 @@ impl ObservationIds {
 #[cfg(feature = "fault-injection")]
 enum Injected {
     /// The stream ends before this record, as if the producer was cut off
-    /// after a complete record.
+    /// after a complete record; no later read returns a record.
     ShortRead,
     /// The record was torn or had a byte corrupted.
     Rewritten(Vec<u8>),

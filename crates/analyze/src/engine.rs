@@ -48,7 +48,8 @@ const SKIP_DIRS: &[&str] = &[
     "target", "vendor", "fixtures", "tests", ".git", ".github", "corpus",
 ];
 
-/// Analyzes every `.rs` file under `root` (skipping [`SKIP_DIRS`]).
+/// Analyzes every `.rs` file under `root`, skipping hidden directories and
+/// the build, vendored, fixture and integration-test directories.
 pub fn analyze_root(root: &Path, config: &Config) -> io::Result<Analysis> {
     let mut files = Vec::new();
     collect_rust_files(root, &mut files)?;

@@ -462,7 +462,7 @@ fn is_blocking_call(word: &str) -> bool {
 
 /// Rule `guard-across-call`: a `Mutex`/`RwLock` guard binding that stays
 /// live across a channel `send`/`recv` or a SAT `solve*` call serialises
-/// the portfolio (at best) or deadlocks it (at worst). Scope the guard to
+/// the serving pool (at best) or deadlocks it (at worst). Scope the guard to
 /// a block, clone out what you need, or `drop(guard)` first.
 fn guard_across_call(ctx: &FileCtx<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -599,9 +599,10 @@ fn is_poll_ident(word: &str) -> bool {
 }
 
 /// Rule `interrupt-poll`: functions listed in the `[interrupt-poll]`
-/// manifest section are portfolio workers or solver inner loops; every
+/// manifest section are the serve pool's worker and supervisor loops; every
 /// top-level `loop`/`while` in them must consult an interrupt/cancel flag,
-/// or a losing worker runs to completion after the portfolio already won.
+/// or a condemned worker keeps running and a wedged one wedges its
+/// supervisor.
 fn interrupt_poll(ctx: &FileCtx<'_>, matched: &mut MatchedEntries) -> Vec<Finding> {
     let mut findings = Vec::new();
     for span in ctx.scopes.functions() {
@@ -651,7 +652,7 @@ fn interrupt_poll(ctx: &FileCtx<'_>, matched: &mut MatchedEntries) -> Vec<Findin
                             function: Some(span.qualified.clone()),
                             message: format!(
                                 "top-level `{word}` in `{}` never polls an interrupt/cancel \
-                                 flag; a portfolio loser would run to completion",
+                                 flag, so cancelling it cannot stop it",
                                 span.qualified
                             ),
                         });

@@ -6,24 +6,28 @@
 //! seed behaviour); the incremental variant, the learner's search, builds
 //! one base encoding and one solver per candidate state count and feeds it
 //! only the delta clauses of newly forbidden sequences, reusing learnt
-//! clauses across rounds. With `--json <path>` or
-//! `TRACELEARN_BENCH_JSON=<path>` the measured wall times are written as
-//! machine-readable JSON.
+//! clauses across rounds. Both run on the predicate sequence the learner
+//! itself extracts. With `--json <path>` or `TRACELEARN_BENCH_JSON=<path>`
+//! the median wall time of [`JSON_RUNS`] runs per strategy and input is
+//! written as machine-readable JSON.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 use tracelearn_bench::report::{write_if_requested, BenchRecord};
 use tracelearn_core::compliance::invalid_sequences;
 use tracelearn_core::encoding::AutomatonEncoder;
-use tracelearn_core::{PredId, PredicateExtractor};
+use tracelearn_core::{Learner, LearnerConfig, PredId};
 use tracelearn_sat::{SatResult, Solver};
-use tracelearn_synth::SynthesisConfig;
 use tracelearn_trace::unique_windows;
 use tracelearn_workloads::Workload;
 
 const WINDOW: usize = 3;
 const COMPLIANCE_LENGTH: usize = 2;
 const MAX_STATES: usize = 16;
+/// Timed runs per strategy and input behind each JSON record. One run on a
+/// shared host spreads too widely to serve as a gate baseline, so the
+/// record holds the median.
+const JSON_RUNS: usize = 5;
 
 struct Prepared {
     name: &'static str,
@@ -33,9 +37,10 @@ struct Prepared {
 
 fn prepare(workload: Workload, length: usize, name: &'static str) -> Prepared {
     let trace = workload.generate(length);
-    let extractor =
-        PredicateExtractor::new(&trace, WINDOW, SynthesisConfig::default(), &[]).unwrap();
-    let (sequence, _) = extractor.extract();
+    let model = Learner::new(LearnerConfig::default().with_window(WINDOW))
+        .learn(&trace)
+        .expect("learnable");
+    let sequence = model.predicate_sequence().to_vec();
     let windows = unique_windows(&sequence, WINDOW);
     Prepared {
         name,
@@ -125,20 +130,27 @@ fn bench_refinement(c: &mut Criterion) {
     }
     group.finish();
 
-    // One timed run per strategy per input for the JSON trajectory — only
-    // when an output path was actually requested.
+    // The median of JSON_RUNS timed runs per strategy per input for the
+    // JSON trajectory — only when an output path was actually requested.
     if tracelearn_bench::report::requested_path().is_none() {
         return;
     }
     let mut records = Vec::new();
     for input in &inputs {
         for (strategy, refine) in STRATEGIES {
-            let start = Instant::now();
-            let states = refine(input);
+            let mut walls = Vec::with_capacity(JSON_RUNS);
+            let mut states = 0;
+            for _ in 0..JSON_RUNS {
+                let start = Instant::now();
+                states = refine(input);
+                walls.push(start.elapsed());
+            }
+            walls.sort_unstable();
             records.push(
-                BenchRecord::new(format!("{strategy}/{}", input.name), start.elapsed())
+                BenchRecord::new(format!("{strategy}/{}", input.name), walls[JSON_RUNS / 2])
                     .with_extra("states", states)
-                    .with_extra("windows", input.windows.len()),
+                    .with_extra("windows", input.windows.len())
+                    .with_extra("runs", JSON_RUNS),
             );
         }
     }

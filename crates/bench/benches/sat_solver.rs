@@ -2,11 +2,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tracelearn_core::encoding::AutomatonEncoder;
-use tracelearn_core::PredicateExtractor;
+use tracelearn_core::{Learner, LearnerConfig, PredId};
 use tracelearn_sat::{Cnf, Lit, Solver};
-use tracelearn_synth::SynthesisConfig;
-use tracelearn_trace::unique_windows;
+use tracelearn_trace::{unique_windows, Trace};
 use tracelearn_workloads::{counter, Workload};
+
+/// The unique length-3 windows of the predicate sequence the learner
+/// extracts from `trace`.
+fn learned_windows(trace: &Trace) -> Vec<Vec<PredId>> {
+    let model = Learner::new(LearnerConfig::default().with_window(3))
+        .learn(trace)
+        .expect("learnable");
+    unique_windows(model.predicate_sequence(), 3)
+}
 
 /// A pigeonhole instance: the classic hard UNSAT family, exercising conflict
 /// analysis and clause learning.
@@ -45,9 +53,7 @@ fn bench_automaton_encoding(c: &mut Criterion) {
         threshold: 64,
         length: 512,
     });
-    let extractor = PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-    let (sequence, _) = extractor.extract();
-    let windows = unique_windows(&sequence, 3);
+    let windows = learned_windows(&trace);
     let mut group = c.benchmark_group("sat/automaton_encoding");
     for states in [2usize, 4, 6] {
         let encoder = AutomatonEncoder::new(windows.clone(), states);
@@ -68,10 +74,7 @@ fn bench_automaton_encoding(c: &mut Criterion) {
 /// Encoding size/solve time for the USB attach benchmark at its paper length,
 /// the most alphabet-rich of the event workloads.
 fn bench_usb_attach_encoding(c: &mut Criterion) {
-    let trace = Workload::UsbAttach.generate(259);
-    let extractor = PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-    let (sequence, _) = extractor.extract();
-    let windows = unique_windows(&sequence, 3);
+    let windows = learned_windows(&Workload::UsbAttach.generate(259));
     c.bench_function("sat/usb_attach_windows_7_states", |b| {
         let encoder = AutomatonEncoder::new(windows.clone(), 7);
         b.iter(|| {

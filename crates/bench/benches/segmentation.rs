@@ -3,8 +3,9 @@
 //! segmentation for growing trace lengths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tracelearn_bench::table1_config_for;
+use tracelearn_bench::{learner_config_for, table1_config_for};
 use tracelearn_core::Learner;
+use tracelearn_trace::unique_windows;
 use tracelearn_workloads::Workload;
 
 fn bench_segmented_vs_full(c: &mut Criterion) {
@@ -33,16 +34,13 @@ fn bench_segmented_vs_full(c: &mut Criterion) {
 
 /// Unique-window extraction itself: how much the predicate sequence shrinks.
 fn bench_unique_windows(c: &mut Criterion) {
-    use tracelearn_core::PredicateExtractor;
-    use tracelearn_synth::SynthesisConfig;
-    use tracelearn_trace::unique_windows;
-
     let trace = Workload::Integrator.generate(4096);
-    let extractor = PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &["ip".into()])
-        .expect("valid window");
-    let (sequence, _) = extractor.extract();
+    let model = Learner::new(learner_config_for(Workload::Integrator))
+        .learn(&trace)
+        .expect("learnable");
+    let sequence = model.predicate_sequence();
     c.bench_function("segmentation/unique_windows_4096", |b| {
-        b.iter(|| unique_windows(std::hint::black_box(&sequence), 3))
+        b.iter(|| unique_windows(std::hint::black_box(sequence), 3))
     });
 }
 

@@ -7,18 +7,19 @@
 //!
 //! Prints a per-phase wall-time breakdown (ingest / abstract / segment /
 //! SAT) for the streamed and in-memory pipelines — so the next perf target
-//! can be picked from data, not anecdote — plus the k-tails baseline for
-//! context on traces of up to 50,000 observations. `--shards S` splits the
-//! workload into `S` independently seeded runs learned as one `TraceSet`
-//! through `Learner::learn_many`; `--sat-stats` adds the solver-quality
-//! counters (learnt-clause LBD histogram and conflict-clause-minimization
-//! totals) to each phase breakdown.
+//! can be picked from data, not anecdote — and the in-memory model's
+//! predicate labels, plus the k-tails baseline for context on traces of up
+//! to 50,000 observations. `--shards S` splits the workload into `S`
+//! independently seeded runs learned as one `TraceSet` through
+//! `Learner::learn_many`; `--sat-stats` adds the solver-quality counters
+//! (learnt-clause LBD histogram and conflict-clause-minimization totals) to
+//! each phase breakdown.
 
 use std::env;
 use std::time::Instant;
 use tracelearn_bench::learner_config_for;
-use tracelearn_core::{LearnStats, Learner, PredicateExtractor};
-use tracelearn_trace::{unique_windows, StreamingCsvReader, Trace, TraceSet};
+use tracelearn_core::{LearnStats, LearnedModel, Learner};
+use tracelearn_trace::{StreamingCsvReader, Trace, TraceSet};
 use tracelearn_workloads::Workload;
 
 /// Longest trace the k-tails baseline runs on. Its cost grows faster than
@@ -55,6 +56,13 @@ fn print_sat_stats(stats: &LearnStats) {
             0.0
         }
     );
+}
+
+/// Prints every predicate label of the model's alphabet, by id.
+fn print_labels(model: &LearnedModel) {
+    for (id, label) in model.predicate_strings().iter().enumerate() {
+        println!("  label p{id}: {label}");
+    }
 }
 
 fn print_phases(label: &str, stats: &LearnStats) {
@@ -112,50 +120,12 @@ fn main() {
         "rtlinux" => Workload::LinuxKernel,
         _ => Workload::Integrator,
     };
-    let config = learner_config_for(workload);
-    let learner = Learner::new(config.clone());
+    let learner = Learner::new(learner_config_for(workload));
     println!("== {} · {length} observations ==", workload.name());
 
     let start = Instant::now();
     let trace = workload.generate(length);
     println!("generate:          {:>10.2?}", start.elapsed());
-
-    let start = Instant::now();
-    let extractor = PredicateExtractor::new(
-        &trace,
-        config.window,
-        config.synthesis.clone(),
-        &config.input_variables,
-    )
-    .expect("extractable");
-    println!(
-        "input detection:   {:>10.2?}  (inputs: {:?})",
-        start.elapsed(),
-        extractor.input_variables()
-    );
-
-    let start = Instant::now();
-    let (sequence, alphabet) = extractor.extract();
-    println!(
-        "extraction:        {:>10.2?}  ({} predicates, alphabet {})",
-        start.elapsed(),
-        sequence.len(),
-        alphabet.len()
-    );
-
-    let start = Instant::now();
-    let windows = unique_windows(&sequence, config.window);
-    println!(
-        "segmentation:      {:>10.2?}  ({} unique windows)",
-        start.elapsed(),
-        windows.len()
-    );
-    for (id, _) in alphabet.iter() {
-        println!(
-            "  label {id}: {}",
-            alphabet.render(id, trace.signature(), trace.symbols())
-        );
-    }
 
     if length > KTAILS_MAX_OBSERVATIONS {
         println!("ktails:            skipped above {KTAILS_MAX_OBSERVATIONS} observations");
@@ -206,6 +176,7 @@ fn main() {
                 if sat_stats {
                     print_sat_stats(&model.stats());
                 }
+                print_labels(&model);
             }
             Err(error) => println!("learn_many failed: {error}"),
         }
@@ -216,6 +187,7 @@ fn main() {
                 if sat_stats {
                     print_sat_stats(&model.stats());
                 }
+                print_labels(&model);
             }
             Err(error) => println!("full learn failed: {error}"),
         }

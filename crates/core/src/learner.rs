@@ -1042,7 +1042,6 @@ pub fn learn_with_defaults(trace: &Trace) -> Result<LearnedModel, LearnError> {
 mod tests {
     use super::*;
     use crate::compliance::invalid_sequences;
-    use crate::predicates::PredicateExtractor;
     use tracelearn_trace::{parse_csv, to_csv, unique_windows, Value};
     use tracelearn_workloads::{counter, usb_slot};
 
@@ -1133,18 +1132,12 @@ mod tests {
     }
 
     /// The seed's Phase-3 loop: a fresh encoding and a fresh solver for every
-    /// refinement round. Used as the reference the incremental loop must
-    /// agree with.
+    /// refinement round, over the learner's own predicate sequence. Used as
+    /// the reference the incremental loop must agree with.
     fn from_scratch_states(trace: &Trace, config: &LearnerConfig) -> usize {
-        let extractor = PredicateExtractor::new(
-            trace,
-            config.window,
-            config.synthesis.clone(),
-            &config.input_variables,
-        )
-        .unwrap();
-        let (sequence, _) = extractor.extract();
-        let windows = unique_windows(&sequence, config.window);
+        let learned = Learner::new(config.clone()).learn(trace).unwrap();
+        let sequence = learned.predicate_sequence();
+        let windows = unique_windows(sequence, config.window);
         for num_states in config.initial_states..=config.max_states {
             let mut encoder = AutomatonEncoder::new(windows.clone(), num_states);
             loop {
@@ -1155,7 +1148,7 @@ mod tests {
                     SatResult::Sat(model) => {
                         let candidate = encoding.decode(&windows, &model);
                         let violations =
-                            invalid_sequences(&candidate, &sequence, config.compliance_length);
+                            invalid_sequences(&candidate, sequence, config.compliance_length);
                         if violations.is_empty() {
                             return num_states;
                         }

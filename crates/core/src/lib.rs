@@ -66,5 +66,5 @@ pub use crate::monitor::{
     Deviation, DeviationKind, Monitor, MonitorReport, MonitorSession, SessionCheckpoint,
     SessionFootprint, Verdict, DEFAULT_CALIBRATION_EVENTS,
 };
-pub use crate::predicates::{PredId, PredicateAlphabet, PredicateExtractor, WindowAbstractor};
+pub use crate::predicates::{PredId, PredicateAlphabet, WindowAbstractor};
 pub use crate::replay::ReplayLog;

@@ -1,9 +1,9 @@
 //! Generation of the transition-predicate sequence from a trace.
 //!
-//! For every sliding window of `w` observations the extractor produces one
-//! predicate over `X ∪ X'` describing the window's *first* step, using the
-//! remaining steps of the window as generalisation context (exactly the role
-//! the window plays in the paper's `GeneratePredicate`):
+//! For every sliding window of `w` observations a [`WindowAbstractor`]
+//! produces one predicate over `X ∪ X'` describing the window's *first*
+//! step, using the remaining steps of the window as generalisation context
+//! (exactly the role the window plays in the paper's `GeneratePredicate`):
 //!
 //! * event- and boolean-valued variables contribute the atom `x' = v` (the
 //!   event that occurs in this step);
@@ -115,7 +115,6 @@ impl PredicateAlphabet {
 pub struct WindowAbstractor {
     signature: Signature,
     synthesizer: Synthesizer,
-    window: usize,
     input_variables: Vec<VarId>,
     /// Globally dominant update terms per integer variable, scored by the
     /// number of sampled steps they explain. Windows prefer these labels so
@@ -179,7 +178,6 @@ impl WindowAbstractor {
         Ok(WindowAbstractor {
             signature: trace.signature().clone(),
             synthesizer,
-            window,
             input_variables,
             dominant_updates,
             cache: HashMap::new(),
@@ -285,16 +283,10 @@ impl WindowAbstractor {
         Ok(WindowAbstractor {
             signature: signature.clone(),
             synthesizer,
-            window,
             input_variables,
             dominant_updates,
             cache: HashMap::new(),
         })
-    }
-
-    /// The sliding-window length the abstractor was calibrated for.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// The variables treated as unconstrained inputs.
@@ -440,62 +432,6 @@ impl WindowAbstractor {
     }
 }
 
-/// Extracts the predicate sequence `P` of a trace: a [`WindowAbstractor`]
-/// calibrated on the trace plus the loop mapping each of its windows.
-#[derive(Debug)]
-pub struct PredicateExtractor<'a> {
-    trace: &'a Trace,
-    abstractor: WindowAbstractor,
-}
-
-impl<'a> PredicateExtractor<'a> {
-    /// Creates an extractor with the given sliding-window length.
-    ///
-    /// # Errors
-    ///
-    /// See [`WindowAbstractor::from_calibration`].
-    pub fn new(
-        trace: &'a Trace,
-        window: usize,
-        synthesis: SynthesisConfig,
-        declared_inputs: &[String],
-    ) -> Result<Self, LearnError> {
-        let abstractor =
-            WindowAbstractor::from_calibration(trace, window, synthesis, declared_inputs)?;
-        Ok(PredicateExtractor { trace, abstractor })
-    }
-
-    /// The variables treated as unconstrained inputs.
-    pub fn input_variables(&self) -> &[VarId] {
-        self.abstractor.input_variables()
-    }
-
-    /// Produces the predicate sequence `P` (one predicate per window
-    /// position) and the predicate alphabet.
-    pub fn extract(mut self) -> (Vec<PredId>, PredicateAlphabet) {
-        let mut alphabet = PredicateAlphabet::new();
-        let sequence = self.extract_into(&mut alphabet);
-        (sequence, alphabet)
-    }
-
-    /// Like [`PredicateExtractor::extract`], but interning into a caller
-    /// supplied alphabet — the multi-trace path shares one alphabet across
-    /// every shard so that identical behaviour gets identical ids.
-    pub fn extract_into(&mut self, alphabet: &mut PredicateAlphabet) -> Vec<PredId> {
-        let observations = self.trace.observations();
-        let window = self.abstractor.window();
-        let num_windows = observations.len() + 1 - window;
-        let mut sequence = Vec::with_capacity(num_windows);
-        for start in 0..num_windows {
-            sequence.push(
-                self.abstractor
-                    .predicate_id(&observations[start..start + window], alphabet),
-            );
-        }
-        sequence
-    }
-}
-
 /// Detects variables that behave like free inputs — their next value is not
 /// predictable even from the recent history of the trace — such as the
 /// integrator's `ip`. Such variables get no update atom.
@@ -572,6 +508,29 @@ mod tests {
     use tracelearn_trace::{RowEntry, Signature, Value};
     use tracelearn_workloads::{counter, integrator, serial};
 
+    /// The predicate sequence `P` of `trace` (one predicate per window
+    /// position) and its alphabet, from an abstractor calibrated on the
+    /// trace itself.
+    fn extract(
+        trace: &Trace,
+        window: usize,
+        declared_inputs: &[String],
+    ) -> Result<(Vec<PredId>, PredicateAlphabet), LearnError> {
+        let mut abstractor = WindowAbstractor::from_calibration(
+            trace,
+            window,
+            SynthesisConfig::default(),
+            declared_inputs,
+        )?;
+        let mut alphabet = PredicateAlphabet::new();
+        let sequence = trace
+            .observations()
+            .windows(window)
+            .map(|w| abstractor.predicate_id(w, &mut alphabet))
+            .collect();
+        Ok((sequence, alphabet))
+    }
+
     #[test]
     fn alphabet_interning_is_idempotent() {
         let mut alphabet = PredicateAlphabet::new();
@@ -592,9 +551,7 @@ mod tests {
             threshold: 16,
             length: 100,
         });
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-        let (sequence, alphabet) = extractor.extract();
+        let (sequence, alphabet) = extract(&trace, 3, &[]).unwrap();
         assert_eq!(sequence.len(), 100 + 1 - 3);
         let rendered: Vec<String> = alphabet
             .iter()
@@ -614,9 +571,7 @@ mod tests {
         for event in ["a", "b", "a", "b", "c", "a", "b", "a", "b", "c"] {
             trace.push_named_row(vec![RowEntry::Event(event)]).unwrap();
         }
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-        let (sequence, alphabet) = extractor.extract();
+        let (sequence, alphabet) = extract(&trace, 3, &[]).unwrap();
         // Labels are `cmd' = <event>`: exactly as many as distinct next events.
         assert_eq!(alphabet.len(), 3);
         assert_eq!(sequence.len(), 8);
@@ -636,9 +591,7 @@ mod tests {
         assert!(inputs.contains(&ip));
         assert!(!inputs.contains(&op));
 
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-        let (_, alphabet) = extractor.extract();
+        let (_, alphabet) = extract(&trace, 3, &[]).unwrap();
         let rendered: Vec<String> = alphabet
             .iter()
             .map(|(id, _)| alphabet.render(id, trace.signature(), trace.symbols()))
@@ -664,9 +617,7 @@ mod tests {
             capacity: 16,
             seed: 5,
         });
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-        let (_, alphabet) = extractor.extract();
+        let (_, alphabet) = extract(&trace, 3, &[]).unwrap();
         let rendered: Vec<String> = alphabet
             .iter()
             .map(|(id, _)| alphabet.render(id, trace.signature(), trace.symbols()))
@@ -725,11 +676,12 @@ mod tests {
         for v in [1i64, 2, 3, 4, 5, 6] {
             trace.push_row([Value::Int(v)]).unwrap();
         }
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &["x".to_owned()])
+        let declared = ["x".to_owned()];
+        let abstractor =
+            WindowAbstractor::from_calibration(&trace, 3, SynthesisConfig::default(), &declared)
                 .unwrap();
-        assert_eq!(extractor.input_variables().len(), 1);
-        let (_, alphabet) = extractor.extract();
+        assert_eq!(abstractor.input_variables().len(), 1);
+        let (_, alphabet) = extract(&trace, 3, &declared).unwrap();
         // With its only variable declared an input, every window degenerates
         // to the trivial predicate.
         assert_eq!(alphabet.len(), 1);
@@ -742,11 +694,11 @@ mod tests {
             length: 2,
         });
         assert!(matches!(
-            PredicateExtractor::new(&trace, 1, SynthesisConfig::default(), &[]),
+            WindowAbstractor::from_calibration(&trace, 1, SynthesisConfig::default(), &[]),
             Err(LearnError::WindowTooSmall { .. })
         ));
         assert!(matches!(
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]),
+            WindowAbstractor::from_calibration(&trace, 3, SynthesisConfig::default(), &[]),
             Err(LearnError::TraceTooShort { .. })
         ));
     }
@@ -757,9 +709,7 @@ mod tests {
             threshold: 8,
             length: 60,
         });
-        let extractor =
-            PredicateExtractor::new(&trace, 3, SynthesisConfig::default(), &[]).unwrap();
-        let (sequence, alphabet) = extractor.extract();
+        let (sequence, alphabet) = extract(&trace, 3, &[]).unwrap();
         // Far more windows than distinct predicates.
         assert!(sequence.len() > 4 * alphabet.len());
     }

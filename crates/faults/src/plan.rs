@@ -36,8 +36,8 @@ pub enum FaultSite {
     /// `sat.budget` — a solver call reports its budget exhausted without
     /// searching.
     SatBudget,
-    /// `sat.interrupt` — a solver call behaves as if its cooperative
-    /// interrupt flag was raised immediately.
+    /// `sat.interrupt` — a solver call gives up at once with `Unknown`,
+    /// like `sat.budget`.
     SatInterrupt,
     /// `worker.panic` — a serve pool worker panics while processing a data
     /// task.

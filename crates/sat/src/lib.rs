@@ -18,21 +18,15 @@
 //! A [`Solver`] is designed to be *reused* across a sequence of related
 //! queries, which is how the learner's refinement loop drives it:
 //!
-//! * [`Solver::add_clause`] and [`Solver::new_var`] grow the formula between
-//!   solve calls; learnt clauses from earlier calls are kept and prune the
-//!   later searches (an activity-based database reduction evicts the least
-//!   useful half on a geometric schedule, so long runs stay bounded).
-//! * [`Limits`] are accounted **per call**: every call measures its conflict
-//!   and propagation budget from its own entry point, so a reused solver is
+//! * [`Solver::add_clause`] grows the formula between solve calls; learnt
+//!   clauses from earlier calls are kept and prune the later searches (an
+//!   LBD-first database reduction evicts the least useful half on a
+//!   geometric schedule, so long runs stay bounded).
+//! * [`Limits`] are accounted **per call**: every
+//!   [`Solver::solve_with_limits`] call measures its conflict and
+//!   propagation budget from its own entry point, so a reused solver is
 //!   never charged for work done by earlier calls.
 //!   [`Solver::last_call_stats`] reports the per-call counters.
-//! * [`Solver::solve_with_assumptions`] solves under temporary unit
-//!   assumptions — forced first decisions that do not persist after the call.
-//!   `Sat` models satisfy every assumption; on `Unsat` the subset of
-//!   assumptions the refutation used is available from
-//!   [`Solver::failed_assumptions`] (MiniSat's final conflict clause).
-//!   An `Unsat` answer with an *empty* failed set means the formula is
-//!   unsatisfiable regardless of assumptions.
 //!
 //! # Example
 //!

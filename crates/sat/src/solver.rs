@@ -27,20 +27,16 @@
 //! is dropped on a geometric schedule. [`SolverStats`] exposes the LBD
 //! histogram and the minimized-literal count.
 //!
-//! The solver is *incremental*: clauses and variables may be added between
-//! solve calls ([`Solver::add_clause`], [`Solver::new_var`]), learnt clauses
-//! are kept across calls (subject to database reduction), and
-//! [`Solver::solve_with_assumptions`] decides the formula under a set of
-//! temporary unit assumptions without permanently binding them. Resource
-//! [`Limits`] are accounted *per call*: each solve call gets its own fresh
-//! conflict and propagation budget, regardless of how much work earlier calls
-//! on the same solver performed.
+//! The solver is *incremental*: clauses may be added between solve calls
+//! ([`Solver::add_clause`]), and learnt clauses are kept across calls
+//! (subject to database reduction). Resource [`Limits`] are accounted *per
+//! call*: each [`Solver::solve_with_limits`] call gets its own fresh conflict
+//! and propagation budget, regardless of how much work earlier calls on the
+//! same solver performed.
 
 use crate::cnf::Cnf;
 use crate::lit::{Lit, Var};
 use crate::model::Model;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Resource limits for a single [`Solver::solve_with_limits`] call.
 ///
@@ -86,9 +82,7 @@ impl Limits {
 pub enum SatResult {
     /// The formula is satisfiable; a witnessing assignment is attached.
     Sat(Model),
-    /// The formula is unsatisfiable. For
-    /// [`Solver::solve_with_assumptions`] this means unsatisfiable *under
-    /// the assumptions*; [`Solver::failed_assumptions`] names the culprits.
+    /// The formula is unsatisfiable.
     Unsat,
     /// The resource budget was exhausted before an answer was found.
     Unknown,
@@ -275,7 +269,7 @@ struct Watch {
 /// Why a literal is on the trail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reason {
-    /// A decision, an assumption, or a top-level fact.
+    /// A decision or a top-level fact.
     None,
     /// Propagated by the arena clause at this offset (the literal is at
     /// position 0).
@@ -335,12 +329,8 @@ pub struct Solver {
     /// Absolute propagation count at which the current call must give up.
     prop_limit: Option<u64>,
     prop_budget_hit: bool,
-    failed: Vec<Lit>,
     /// Scratch buffer in which [`Solver::add_clause`] normalises a clause.
     add_buffer: Vec<Lit>,
-    /// Cooperative interrupt: when the flag is raised by another thread the
-    /// current solve call abandons its work with [`SatResult::Unknown`].
-    interrupt: Option<Arc<AtomicBool>>,
 }
 
 impl Solver {
@@ -380,9 +370,7 @@ impl Solver {
             learnt_limit: 0,
             prop_limit: None,
             prop_budget_hit: false,
-            failed: Vec::new(),
             add_buffer: Vec::new(),
-            interrupt: None,
         }
     }
 
@@ -416,64 +404,10 @@ impl Solver {
         self.live_learnts
     }
 
-    /// Allocates a fresh variable and returns it. The variable participates
-    /// in decisions and may appear in clauses added afterwards.
-    pub fn new_var(&mut self) -> Var {
-        let v = self.num_vars;
-        self.num_vars += 1;
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.assign.push(None);
-        self.level.push(0);
-        self.reason.push(Reason::None);
-        self.activity.push(0.0);
-        self.phase.push(false);
-        self.seen.push(false);
-        self.level_stamp.push(0);
-        self.heap.grow();
-        self.heap.insert(v, &self.activity);
-        Var::new(u32::try_from(v).expect("variable count fits in u32"))
-    }
-
     /// Sets the learnt-database size at which the next reduction triggers.
     /// The limit then grows geometrically (×1.5) after every reduction.
     pub fn set_learnt_limit(&mut self, limit: usize) {
         self.learnt_limit = limit.max(1);
-    }
-
-    /// Installs a cooperative interrupt flag, shared with other threads.
-    ///
-    /// The flag is polled inside [`Solver::propagate`] (with the same
-    /// 1024-propagation granularity as the propagation budget) and once per
-    /// conflict-loop iteration, so raising it from another thread makes an
-    /// in-flight solve call give up with [`SatResult::Unknown`] promptly, so
-    /// a caller on another thread can abandon a search it no longer needs.
-    /// The solver itself never clears the flag; an interrupted solver
-    /// remains usable and answers correctly once the flag is lowered (or
-    /// [cleared](Solver::clear_interrupt)).
-    pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        self.interrupt = Some(flag);
-    }
-
-    /// Removes an installed interrupt flag.
-    pub fn clear_interrupt(&mut self) {
-        self.interrupt = None;
-    }
-
-    /// Whether an installed interrupt flag is currently raised.
-    pub fn is_interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// The subset of the assumptions passed to the last
-    /// [`Solver::solve_with_assumptions`] call that was used to derive its
-    /// `Unsat` answer (the "final conflict clause" in assumption terms).
-    /// Empty when the formula is unsatisfiable regardless of assumptions, or
-    /// when the last call did not end in assumption failure.
-    pub fn failed_assumptions(&self) -> &[Lit] {
-        &self.failed
     }
 
     fn lit_value(&self, lit: Lit) -> Option<bool> {
@@ -587,20 +521,16 @@ impl Solver {
 
     fn propagate(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
-            // Enforce the propagation budget and poll the interrupt flag
-            // *inside* the loop (with 1024-step granularity) so a single long
-            // propagation pass cannot blow past either: the solve loop only
-            // regains control between conflicts.
+            // Enforce the propagation budget *inside* the loop (with
+            // 1024-step granularity) so a single long propagation pass cannot
+            // blow past it: the solve loop only regains control between
+            // conflicts.
             if self.stats.propagations & 1023 == 0 {
                 if let Some(limit) = self.prop_limit {
                     if self.stats.propagations >= limit {
                         self.prop_budget_hit = true;
                         return None;
                     }
-                }
-                if self.is_interrupted() {
-                    self.prop_budget_hit = true;
-                    return None;
                 }
             }
             let p = self.trail[self.qhead];
@@ -733,8 +663,7 @@ impl Solver {
 
     /// Views `lit`'s reason as a clause with `lit` in first position, for
     /// uniform literal iteration via [`Solver::conflict_len`] /
-    /// [`Solver::conflict_lit`]. `None` for decisions, assumptions and
-    /// top-level facts.
+    /// [`Solver::conflict_lit`]. `None` for decisions and top-level facts.
     fn reason_cause(&self, lit: Lit, reason: Reason) -> Option<Conflict> {
         match reason {
             Reason::None => None,
@@ -890,7 +819,7 @@ impl Solver {
                 let v = l.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     if matches!(self.reason[v], Reason::None) {
-                        // Resolves into a decision/assumption: not redundant.
+                        // Resolves into a decision: not redundant.
                         // Roll back the marks this call made.
                         for idx in top..self.to_clear.len() {
                             self.seen[self.to_clear[idx].var().index()] = false;
@@ -905,39 +834,6 @@ impl Solver {
             }
         }
         true
-    }
-
-    /// Computes the subset of assumptions responsible for forcing the
-    /// assumption `p` false (MiniSat's `analyzeFinal`). The returned literals
-    /// are in the caller's polarity: the set cannot be jointly assumed.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut out = vec![p];
-        if self.current_level() == 0 {
-            return out;
-        }
-        self.seen[p.var().index()] = true;
-        for i in (self.trail_lim[0]..self.trail.len()).rev() {
-            let lit = self.trail[i];
-            let v = lit.var().index();
-            if !self.seen[v] {
-                continue;
-            }
-            match self.reason_cause(lit, self.reason[v]) {
-                // Decisions above level 0 are exactly the assumptions.
-                None => out.push(lit),
-                Some(cause) => {
-                    for k in 1..self.conflict_len(cause) {
-                        let l = self.conflict_lit(cause, k);
-                        if self.level[l.var().index()] > 0 {
-                            self.seen[l.var().index()] = true;
-                        }
-                    }
-                }
-            }
-            self.seen[v] = false;
-        }
-        self.seen[p.var().index()] = false;
-        out
     }
 
     fn backjump(&mut self, target_level: u32) {
@@ -1075,20 +971,6 @@ impl Solver {
     /// Solves the formula, giving up with [`SatResult::Unknown`] when the
     /// per-call budget in `limits` is exhausted.
     pub fn solve_with_limits(&mut self, limits: Limits) -> SatResult {
-        self.solve_with_assumptions(&[], limits)
-    }
-
-    /// Solves the formula under temporary unit `assumptions`.
-    ///
-    /// Assumptions act as forced first decisions: a `Sat` answer satisfies
-    /// all of them, while `Unsat` means the formula has no model in which
-    /// every assumption holds. In the latter case
-    /// [`Solver::failed_assumptions`] returns the subset of assumptions the
-    /// refutation actually used. Assumptions do not persist: the solver can
-    /// be reused afterwards with different (or no) assumptions, and learnt
-    /// clauses derived under assumptions remain valid because conflict
-    /// analysis never resolves on decision literals.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit], limits: Limits) -> SatResult {
         let entry = self.stats;
         self.stats.solve_calls += 1;
         #[cfg(feature = "fault-injection")]
@@ -1101,17 +983,9 @@ impl Solver {
             let budget = trip(FaultSite::SatBudget);
             let interrupt = trip(FaultSite::SatInterrupt);
             if budget || interrupt {
-                self.failed.clear();
                 self.last_call = self.stats.since(&entry);
                 return SatResult::Unknown;
             }
-        }
-        self.failed.clear();
-        for lit in assumptions {
-            assert!(
-                lit.var().index() < self.num_vars,
-                "assumption literal out of range"
-            );
         }
         if self.learnt_limit == 0 {
             self.learnt_limit = (self.clauses.len() / 3).max(2000);
@@ -1120,13 +994,13 @@ impl Solver {
             .max_propagations
             .map(|max| entry.propagations.saturating_add(max));
         self.prop_budget_hit = false;
-        let result = self.search(assumptions, limits, &entry);
+        let result = self.search(limits, &entry);
         self.prop_limit = None;
         self.last_call = self.stats.since(&entry);
         result
     }
 
-    fn search(&mut self, assumptions: &[Lit], limits: Limits, entry: &SolverStats) -> SatResult {
+    fn search(&mut self, limits: Limits, entry: &SolverStats) -> SatResult {
         if !self.ok {
             return SatResult::Unsat;
         }
@@ -1155,10 +1029,6 @@ impl Solver {
                     self.backjump(0);
                     return SatResult::Unknown;
                 }
-            }
-            if self.is_interrupted() {
-                self.backjump(0);
-                return SatResult::Unknown;
             }
 
             if let Some(conflict) = self.propagate() {
@@ -1205,30 +1075,6 @@ impl Solver {
                     self.backjump(0);
                     if self.live_learnts >= self.learnt_limit {
                         self.reduce_db();
-                    }
-                    continue;
-                }
-                // Establish the next assumption as a pseudo-decision: level
-                // `i + 1` always belongs to `assumptions[i]`.
-                let next = self.current_level() as usize;
-                if next < assumptions.len() {
-                    let p = assumptions[next];
-                    match self.lit_value(p) {
-                        Some(true) => {
-                            // Already implied: open an empty level for it so
-                            // the level↔assumption correspondence holds.
-                            self.trail_lim.push(self.trail.len());
-                        }
-                        Some(false) => {
-                            self.failed = self.analyze_final(p);
-                            self.backjump(0);
-                            return SatResult::Unsat;
-                        }
-                        None => {
-                            self.trail_lim.push(self.trail.len());
-                            let enqueued = self.enqueue(p, Reason::None);
-                            debug_assert!(enqueued);
-                        }
                     }
                     continue;
                 }
@@ -1295,11 +1141,6 @@ impl VarHeap {
             heap: Vec::with_capacity(num_vars),
             position: vec![None; num_vars],
         }
-    }
-
-    /// Makes room for one more variable (see [`Solver::new_var`]).
-    fn grow(&mut self) {
-        self.position.push(None);
     }
 
     fn contains(&self, var: usize) -> bool {
@@ -1542,42 +1383,25 @@ mod tests {
     /// charged for the lifetime total.
     #[test]
     fn limits_are_per_call_on_a_reused_solver() {
-        // Pigeonhole 6-into-5 with a relaxation literal r added to every
-        // capacity clause: under the assumption ¬r the instance is the hard
-        // UNSAT pigeonhole (burning many conflicts), without assumptions it
-        // is trivially SAT by setting r.
-        let (pigeons, holes) = (6usize, 5usize);
-        let var = |pigeon: usize, hole: usize| lit(pigeon * holes + hole, true);
-        let relax = lit(pigeons * holes, true);
-        let mut solver = Solver::new(pigeons * holes + 1);
-        for p in 0..pigeons {
-            solver.add_clause((0..holes).map(|h| var(p, h)));
+        // Pigeonhole 6-into-5 needs far more than 100 conflicts, so both
+        // calls run out of budget. Under cumulative accounting the second
+        // call would give up at once, having spent none of its own.
+        let (num_vars, clauses) = pigeonhole_clauses(6, 5);
+        let mut solver = Solver::new(num_vars);
+        for clause in &clauses {
+            solver.add_clause(clause.iter().copied());
         }
-        for h in 0..holes {
-            for a in 0..pigeons {
-                for b in (a + 1)..pigeons {
-                    solver.add_clause([!var(a, h), !var(b, h), relax]);
-                }
-            }
+        for call in 1..=2u64 {
+            let result = solver.solve_with_limits(Limits::conflicts(50));
+            assert_eq!(result, SatResult::Unknown, "call {call}");
+            assert_eq!(solver.last_call_stats().solve_calls, 1);
+            assert_eq!(
+                solver.last_call_stats().conflicts,
+                50,
+                "call {call} must spend its own budget"
+            );
+            assert_eq!(solver.stats().conflicts, 50 * call);
         }
-        let first = solver.solve_with_assumptions(&[!relax], Limits::unlimited());
-        assert!(first.is_unsat());
-        let lifetime_conflicts = solver.stats().conflicts;
-        assert!(
-            lifetime_conflicts >= 1,
-            "the refutation must cost conflicts"
-        );
-
-        // Second call with a conflict budget no larger than the lifetime
-        // total: under the old cumulative accounting this returned Unknown
-        // immediately even though the call itself did no work yet.
-        let result = solver.solve_with_limits(Limits::conflicts(lifetime_conflicts));
-        assert!(
-            result.is_sat(),
-            "second call spuriously hit a budget it never consumed: {result:?}"
-        );
-        assert_eq!(solver.last_call_stats().solve_calls, 1);
-        assert!(solver.last_call_stats().conflicts <= lifetime_conflicts);
     }
 
     #[test]
@@ -1601,88 +1425,6 @@ mod tests {
         assert!(solver.last_call_stats().propagations <= 2048 + 1024);
         // The same solver still answers correctly without limits.
         assert!(solver.solve().is_sat());
-    }
-
-    #[test]
-    fn new_var_grows_a_live_solver() {
-        let mut solver = Solver::new(1);
-        solver.add_clause([lit(0, true)]);
-        assert!(solver.solve().is_sat());
-        let v = solver.new_var();
-        assert_eq!(solver.num_vars(), 2);
-        solver.add_clause([Lit::negative(v)]);
-        match solver.solve() {
-            SatResult::Sat(model) => {
-                assert!(model.value(Var::new(0)));
-                assert!(!model.value(v));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        solver.add_clause([Lit::positive(v)]);
-        assert!(solver.solve().is_unsat());
-    }
-
-    #[test]
-    fn assumptions_are_temporary() {
-        // (a ∨ b) with assumption ¬a forces b; without assumptions a is free.
-        let mut solver = Solver::new(2);
-        solver.add_clause([lit(0, true), lit(1, true)]);
-        match solver.solve_with_assumptions(&[lit(0, false)], Limits::unlimited()) {
-            SatResult::Sat(model) => {
-                assert!(!model.value(Var::new(0)));
-                assert!(model.value(Var::new(1)));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        // The assumption must not have been burned in.
-        match solver.solve_with_assumptions(&[lit(0, true), lit(1, false)], Limits::unlimited()) {
-            SatResult::Sat(model) => {
-                assert!(model.value(Var::new(0)));
-                assert!(!model.value(Var::new(1)));
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn failed_assumptions_name_the_culprits() {
-        // a → b, b → c; assuming a and ¬c is contradictory, assuming d is not.
-        let mut solver = Solver::new(4);
-        solver.add_clause([lit(0, false), lit(1, true)]);
-        solver.add_clause([lit(1, false), lit(2, true)]);
-        let assumptions = [lit(3, true), lit(0, true), lit(2, false)];
-        let result = solver.solve_with_assumptions(&assumptions, Limits::unlimited());
-        assert!(result.is_unsat());
-        let failed = solver.failed_assumptions().to_vec();
-        assert!(!failed.is_empty());
-        // Every reported literal is one of the assumptions…
-        for l in &failed {
-            assert!(assumptions.contains(l), "{l} is not an assumption");
-        }
-        // …and the irrelevant assumption d is not blamed.
-        assert!(!failed.contains(&lit(3, true)));
-        // The sub-formula remains satisfiable without assumptions.
-        assert!(solver.solve().is_sat());
-    }
-
-    #[test]
-    fn unsat_without_assumptions_reports_no_failed_set() {
-        let mut solver = Solver::new(1);
-        solver.add_clause([lit(0, true)]);
-        solver.add_clause([lit(0, false)]);
-        let result = solver.solve_with_assumptions(&[], Limits::unlimited());
-        assert!(result.is_unsat());
-        assert!(solver.failed_assumptions().is_empty());
-    }
-
-    #[test]
-    fn assumption_false_at_top_level_fails_alone() {
-        let mut solver = Solver::new(2);
-        solver.add_clause([lit(0, false)]);
-        let result =
-            solver.solve_with_assumptions(&[lit(1, true), lit(0, true)], Limits::unlimited());
-        assert!(result.is_unsat());
-        assert_eq!(solver.failed_assumptions(), &[lit(0, true)]);
     }
 
     #[test]
@@ -1716,56 +1458,6 @@ mod tests {
             "learnt clauses must be carried across calls"
         );
         assert_eq!(solver.stats().solve_calls, 2);
-    }
-
-    #[test]
-    fn interrupt_raised_before_solving_returns_unknown() {
-        let (num_vars, clauses) = pigeonhole_clauses(6, 5);
-        let mut solver = Solver::new(num_vars);
-        for clause in &clauses {
-            solver.add_clause(clause.iter().copied());
-        }
-        let flag = Arc::new(AtomicBool::new(true));
-        solver.set_interrupt(Arc::clone(&flag));
-        assert!(solver.is_interrupted());
-        assert_eq!(solver.solve(), SatResult::Unknown);
-        // Lowering the flag restores full functionality on the same solver.
-        flag.store(false, Ordering::Relaxed);
-        assert!(!solver.is_interrupted());
-        assert!(solver.solve().is_unsat());
-    }
-
-    #[test]
-    fn interrupt_from_another_thread_stops_a_long_solve_promptly() {
-        // Pigeonhole 10-into-9 takes far longer than the test budget; the
-        // interrupt must cut the solve short from a concurrent thread.
-        let (num_vars, clauses) = pigeonhole_clauses(10, 9);
-        let mut solver = Solver::new(num_vars);
-        for clause in &clauses {
-            solver.add_clause(clause.iter().copied());
-        }
-        let flag = Arc::new(AtomicBool::new(false));
-        solver.set_interrupt(Arc::clone(&flag));
-        let result = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-                flag.store(true, Ordering::Relaxed);
-            });
-            let start = std::time::Instant::now();
-            let result = solver.solve();
-            assert!(
-                start.elapsed() < std::time::Duration::from_secs(20),
-                "interrupt was not honoured promptly"
-            );
-            result
-        });
-        assert_eq!(result, SatResult::Unknown);
-        // The interrupted solver answers a small query once cleared.
-        solver.clear_interrupt();
-        assert!(!solver.is_interrupted());
-        let mut small = Solver::new(1);
-        small.add_clause([lit(0, true)]);
-        assert!(small.solve().is_sat());
     }
 
     #[test]
@@ -1834,20 +1526,21 @@ mod tests {
         }
     }
 
-    /// New in this PR — (b): the arena layout survives `new_var` and
-    /// `add_clause` growth after solving (and after database reductions
-    /// compacted the arena).
+    /// The arena layout survives `add_clause` growth after solving (and
+    /// after database reductions compacted the arena).
     #[test]
     fn arena_survives_growth_after_solving_and_reduction() {
         let (num_vars, clauses) = pigeonhole_clauses(7, 7);
-        let mut solver = Solver::new(num_vars);
+        // One spare variable that no clause mentions until after the first
+        // solve.
+        let mut solver = Solver::new(num_vars + 1);
+        let v = Var::new(num_vars as u32);
         for clause in &clauses {
             solver.add_clause(clause.iter().copied());
         }
         solver.set_learnt_limit(20);
         assert!(solver.solve().is_sat());
-        // Grow the formula: a fresh variable bridging old clauses.
-        let v = solver.new_var();
+        // Grow the formula: clauses over the spare variable bridging old ones.
         solver.add_clause([Lit::positive(v), lit(0, true), lit(1, true)]);
         solver.add_clause([Lit::negative(v), lit(2, true)]);
         assert!(solver.solve().is_sat());
@@ -1993,29 +1686,6 @@ mod tests {
                     SatResult::Unsat => prop_assert!(!expected),
                     SatResult::Unknown => prop_assert!(false, "no limits were set"),
                 }
-            }
-
-            /// Solving under assumptions agrees with burning the assumptions
-            /// in as unit clauses on a fresh solver.
-            #[test]
-            fn assumptions_agree_with_unit_clauses(
-                clauses in proptest::collection::vec(clause_strategy(6), 0..20),
-                assumed in proptest::collection::vec(
-                    (0..6usize, proptest::bool::ANY).prop_map(|(v, s)| lit(v, s)), 0..3)
-            ) {
-                let mut solver = Solver::new(6);
-                for clause in &clauses {
-                    solver.add_clause(clause.iter().copied());
-                }
-                let under_assumptions = solver
-                    .solve_with_assumptions(&assumed, Limits::unlimited())
-                    .is_sat();
-
-                let mut burned: Vec<Vec<Lit>> = clauses.clone();
-                for &a in &assumed {
-                    burned.push(vec![a]);
-                }
-                prop_assert_eq!(under_assumptions, brute_force_sat(6, &burned));
             }
         }
     }

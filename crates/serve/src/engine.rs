@@ -173,6 +173,16 @@ pub(crate) fn emit<W: Write>(output: &Mutex<W>, line: &str) {
     let _ = write_line(&mut *guard, line);
 }
 
+/// Flushes the shared output, so a buffered writer hands on every line
+/// written so far. A failed flush is ignored for the same reason as in
+/// [`emit`].
+pub(crate) fn flush<W: Write>(output: &Mutex<W>) {
+    let mut guard = output
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _ = guard.flush();
+}
+
 /// Outcome of one bounded line read.
 enum BoundedLine {
     Eof,
@@ -636,6 +646,55 @@ mod tests {
             assert!(line.contains("deviations=0"), "unexpected summary: {line}");
         }
         assert!(!output.contains("error "), "unexpected error in: {output}");
+    }
+
+    #[test]
+    fn verdicts_reach_the_reader_while_input_is_still_open() {
+        let mut registry = counter_registry();
+        let csv = counter_csv(100);
+        let records = csv.lines().count() - 1;
+        let last_verdict = format!("verdict s seq={records} ");
+        // Socket pairs block on read as pipes do, and the output goes
+        // through an 8 KiB `BufWriter` as the daemon's stdout does: the
+        // reader sees only what the server flushed.
+        let (mut input, server_input) = UnixStream::pair().unwrap();
+        let (server_output, output) = UnixStream::pair().unwrap();
+        output
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let delivered = thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                serve_commands(
+                    &mut registry,
+                    BufReader::new(server_input),
+                    io::BufWriter::new(server_output),
+                    &test_options(1),
+                )
+            });
+            writeln!(input, "open s counter").unwrap();
+            for row in csv.lines() {
+                writeln!(input, "data s {row}").unwrap();
+            }
+            // Every record is in; the input stays open while the reader
+            // waits up to 5 s for each next line.
+            let mut reader = BufReader::new(&output);
+            let mut line = String::new();
+            let delivered = loop {
+                line.clear();
+                match reader.read_line(&mut line) {
+                    Ok(0) | Err(_) => break false,
+                    Ok(_) if line.starts_with(&last_verdict) => break true,
+                    Ok(_) => {}
+                }
+            };
+            drop(input);
+            server.join().unwrap().unwrap();
+            delivered
+        });
+        assert!(
+            delivered,
+            "`{last_verdict}` did not reach the reader before the input ended"
+        );
     }
 
     #[test]

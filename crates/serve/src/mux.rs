@@ -52,12 +52,12 @@ use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::engine::{emit, ServeOptions};
+use crate::engine::{emit, flush, ServeOptions};
 use crate::inject;
 use crate::latency::LatencyHistogram;
 use crate::protocol::{
@@ -383,10 +383,21 @@ fn worker_loop<W: Write>(
         if cancel.load(Ordering::Relaxed) {
             return;
         }
-        let task = match tasks.recv_timeout(POLL_INTERVAL) {
+        let task = match tasks.try_recv() {
             Ok(task) => task,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // Going idle: hand on every line written so far, this
+                // worker's and the dispatcher's, before waiting. A buffered
+                // writer would otherwise hold a paced stream's verdicts
+                // until it filled up or the input ended.
+                flush(ctx.output);
+                match tasks.recv_timeout(POLL_INTERVAL) {
+                    Ok(task) => task,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
         };
         match task {
             Task::Open {

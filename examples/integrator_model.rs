@@ -1,13 +1,12 @@
 //! Learns the anti-windup integrator model (paper Fig. 4) and uses it as a
 //! runtime monitor: the learned automaton replays a fresh trace and flags any
-//! step it cannot explain.
+//! window it cannot explain.
 //!
 //! ```text
 //! cargo run --example integrator_model
 //! ```
 
 use std::error::Error;
-use tracelearn::learn::PredicateExtractor;
 use tracelearn::prelude::*;
 use tracelearn::workloads::integrator;
 
@@ -39,39 +38,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Use the model as a monitor on a fresh trace from the same system: every
     // unique window of the fresh predicate sequence should be explainable.
     let fresh = integrator::generate(&integrator::IntegratorConfig { seed: 99, ..config });
-    let extractor = PredicateExtractor::new(
-        &fresh,
-        learner_config.window,
-        learner_config.synthesis.clone(),
-        &learner_config.input_variables,
-    )?;
-    let (fresh_sequence, fresh_alphabet) = extractor.extract();
-
-    // Map fresh predicates onto the learned alphabet by their rendered form.
-    let known: std::collections::HashMap<String, _> = model
-        .alphabet()
-        .iter()
-        .map(|(id, p)| (p.render(fresh.signature(), fresh.symbols()), id))
-        .collect();
-    let mut unexplained = 0usize;
-    for window in tracelearn::trace::unique_windows(&fresh_sequence, learner_config.window) {
-        let mapped: Option<Vec<_>> = window
-            .iter()
-            .map(|id| {
-                known
-                    .get(&fresh_alphabet.render(*id, fresh.signature(), fresh.symbols()))
-                    .copied()
-            })
-            .collect();
-        match mapped {
-            Some(labels) if model.automaton().accepts_from_any_state(&labels) => {}
-            _ => unexplained += 1,
-        }
-    }
+    let report = Monitor::new(&model, learner_config).check(&fresh)?;
     println!(
         "\nmonitoring a fresh trace (seed 99): {} unexplained windows out of {}",
-        unexplained,
-        tracelearn::trace::unique_windows(&fresh_sequence, learner_config.window).len()
+        report.deviations.len(),
+        report.windows_checked
     );
     Ok(())
 }

@@ -13,9 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use tracelearn::learn::encoding::AutomatonEncoder;
-use tracelearn::learn::PredicateExtractor;
+use tracelearn::learn::{Learner, LearnerConfig};
 use tracelearn::sat::Solver;
-use tracelearn::synth::SynthesisConfig;
 use tracelearn::trace::unique_windows;
 use tracelearn::workloads::Workload;
 
@@ -68,10 +67,11 @@ fn encoding_and_loading_allocate_per_buffer_not_per_clause() {
     const WINDOW: usize = 3;
     for (workload, states) in [(Workload::LinuxKernel, 5), (Workload::UsbAttach, 7)] {
         let trace = workload.generate(workload.paper_trace_length());
-        let extractor =
-            PredicateExtractor::new(&trace, WINDOW, SynthesisConfig::default(), &[]).unwrap();
-        let (sequence, _) = extractor.extract();
-        let mut encoder = AutomatonEncoder::new(unique_windows(&sequence, WINDOW), states);
+        let model = Learner::new(LearnerConfig::default().with_window(WINDOW))
+            .learn(&trace)
+            .unwrap();
+        let windows = unique_windows(model.predicate_sequence(), WINDOW);
+        let mut encoder = AutomatonEncoder::new(windows, states);
 
         let (encoding, encode_allocations) = counted(|| encoder.encode_base());
         let (solver, load_allocations) = counted(|| Solver::from_cnf(&encoding.cnf));

@@ -3,6 +3,7 @@
 //! paper's benchmarks at reduced scale.
 
 use tracelearn::learn::compliance::is_compliant;
+use tracelearn::learn::{PredId, PredicateAlphabet, WindowAbstractor};
 use tracelearn::prelude::*;
 use tracelearn::trace::unique_windows;
 
@@ -208,4 +209,42 @@ fn stats_are_populated() {
     assert!(stats.sat_queries >= stats.solvers_constructed);
     assert_eq!(stats.states, model.num_states());
     assert!(stats.total_time >= stats.solver_time);
+}
+
+/// The learner's predicate sequence and alphabet are exactly the per-window
+/// extraction: an abstractor calibrated on the trace maps every window, in
+/// order, into a fresh alphabet. The benches and tests that take their
+/// solver windows from `Learner::learn` rely on this.
+#[test]
+fn learned_predicate_sequence_is_the_per_window_extraction() {
+    for workload in Workload::all() {
+        let trace = workload.generate_paper_scale();
+        let learner = learner_for(workload);
+        let model = learner
+            .learn(&trace)
+            .unwrap_or_else(|e| panic!("{} failed to learn: {e}", workload.name()));
+
+        let config = learner.config();
+        let mut abstractor = WindowAbstractor::from_calibration(
+            &trace,
+            config.window,
+            config.synthesis.clone(),
+            &config.input_variables,
+        )
+        .unwrap();
+        let mut alphabet = PredicateAlphabet::new();
+        let sequence: Vec<PredId> = trace
+            .observations()
+            .windows(config.window)
+            .map(|window| abstractor.predicate_id(window, &mut alphabet))
+            .collect();
+
+        assert_eq!(
+            model.predicate_sequence(),
+            sequence.as_slice(),
+            "{}",
+            workload.name()
+        );
+        assert_eq!(model.alphabet(), &alphabet, "{}", workload.name());
+    }
 }
